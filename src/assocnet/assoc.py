@@ -152,21 +152,19 @@ def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
     return AssocMatrix(z, "fisher", float(dof))
 
 
-def pvalues_to_z(pvals: SymmetricMatrix, tail: str = "upper") -> AssocMatrix:
+def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
     """Map one-sided p-values to normal quantile scores.
 
-    Small p-values map to large positive scores for either tail choice.
-    P-values are clamped into [P_MIN, 1 - P_MIN] first, so degenerate 0/1
-    inputs stay finite. The diagonal of the result is zero.
+    Small p-values map to large positive scores. P-values are clamped
+    into [P_MIN, 1 - P_MIN] first, so degenerate 0/1 inputs stay finite.
+    The diagonal of the result is zero.
     """
     if pvals.kind != "pvalue":
         raise ParameterError("input must be a p-value matrix")
-    if tail not in ("upper", "lower"):
-        raise ParameterError(f"tail must be 'upper' or 'lower', got {tail!r}")
     p = np.clip(pvals.values, P_MIN, 1.0 - P_MIN)
     # Phi^{-1}(1 - p) == -Phi^{-1}(p) exactly; the right-hand form avoids the
     # precision loss of forming 1 - p in floating point when p is tiny, so the
-    # significant (small-p) end of either tail keeps full accuracy.
+    # significant (small-p) end keeps full accuracy.
     z = -ndtri(p)
     z = (z + z.T) / 2.0
     np.fill_diagonal(z, 0.0)

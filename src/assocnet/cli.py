@@ -91,14 +91,12 @@ def cmd_infer(args) -> int:
     else:
         if args.nu is None:
             raise UsageError(f"--nu is required for {args.kind} input")
-        if args.tail is not None:
-            raise UsageError("--tail applies only to p-value input")
     values, _ = read_matrix_auto(args.input)
     matrix = SymmetricMatrix(values, args.kind)
     if args.kind == "covariance":
         matrix = correlation_from_covariance(matrix)
     if args.kind == "pvalue":
-        assoc = pvalues_to_z(matrix, args.tail or "upper")
+        assoc = pvalues_to_z(matrix)
     else:
         assoc = fisher_z(matrix, args.nu)
     adjacency, fit = infer_adjacency(
@@ -110,7 +108,6 @@ def cmd_infer(args) -> int:
         "input": os.fspath(args.input),
         "kind": args.kind,
         "nu": args.nu,
-        "tail": args.tail,
         "estimate_a": bool(args.estimate_a),
         "m": adjacency.m,
         "edge_count": adjacency.edge_count,
@@ -302,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="what the input entries are",
     )
     p_infer.add_argument("--nu", type=float, help="degrees of freedom (> 3)")
-    p_infer.add_argument(
-        "--tail", choices=["upper", "lower"], help="p-value tail (pvalue kind only)"
-    )
     p_infer.add_argument("--estimate-a", action="store_true", dest="estimate_a")
     p_infer.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_infer.add_argument("--output-dir", default=".")

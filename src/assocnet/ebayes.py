@@ -30,6 +30,8 @@ A_MAX = 4.0
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_A_TOL = 1e-6  # golden-section bracket width at which the search over a stops
+_HALVINGS = 60  # bisection steps: a bracket of width 8 ends narrower than 1e-17
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,6 @@ def _log_detection_margin(z_abs, w, a):
         return np.log(w) + log_d - l_phi
 
 
-def _is_nonzero(z, w, a):
-    """Vectorized indicator of a nonzero posterior median."""
-    return _log_detection_margin(np.abs(z), w, a) > 0.0
-
-
 def marginal_loglik(z_row, w, a) -> float:
     """Log-likelihood of a score row under the two-groups marginal.
 
@@ -162,11 +159,7 @@ def weight_lower_bound(n: int, a) -> float | np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if np.any(a <= 0.0):
         raise ParameterError("spread a must be positive")
-    l_u0 = _log_upper_slab(t, a)
-    l_l0 = _log_lower_slab(t, a)
-    l_phi = _log_norm_pdf(t)
-    log_d = l_u0 + np.log1p(np.exp(l_phi - l_u0) - np.exp(l_l0 - l_u0))
-    out = np.exp(l_phi - log_d)
+    out = np.exp(-_log_detection_margin(t, 1.0, a))
     return float(out) if out.ndim == 0 else out
 
 
@@ -205,7 +198,7 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
         raise ParameterError("spread a must be positive")
     z = float(z)
     z_abs = abs(z)
-    if not bool(_is_nonzero(z_abs, w, a)):
+    if not _log_detection_margin(z_abs, w, a) > 0.0:
         return PosteriorSummary(z, w, a, 0.0, False)
 
     l_phi = _log_norm_pdf(z_abs)
@@ -227,18 +220,14 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
 def threshold_row(z_row, w: float, a: float, self_index: int | None = None) -> np.ndarray:
     """Binary keep/kill decisions for one row of scores.
 
-    Entry j is kept when the posterior median of its effect is nonzero.
-    self_index, when given, marks the row's own diagonal position and is
-    forced to zero.
+    Entry j is kept when the posterior median of its effect is nonzero,
+    that is when |z_j| exceeds the detection threshold. self_index, when
+    given, marks the row's own diagonal position and is forced to zero.
     """
     z_row = np.asarray(z_row, dtype=np.float64)
     if z_row.ndim != 1:
         raise InvalidInputError("score row must be a vector")
-    if not 0.0 < w <= 1.0:
-        raise ParameterError("weight must lie in (0, 1]")
-    if a <= 0.0:
-        raise ParameterError("spread a must be positive")
-    keep = _is_nonzero(z_row, w, a)
+    keep = np.abs(z_row) > detection_threshold(w, a)
     if self_index is not None:
         keep[self_index] = False
     return keep
@@ -304,20 +293,39 @@ def _golden_max(f, lo, hi, tol: float):
     return x, fx
 
 
-def fit_rows(
-    z: np.ndarray,
-    estimate_a: bool = False,
-    a_fixed: float = A_DEFAULT,
-    w_tol: float = 1e-6,
-    gain_tol: float = 1e-8,
-    max_sweeps: int = 64,
-):
+def _bisect(f, lo, hi):
+    """Per-row sign change of an increasing f over brackets [lo, hi].
+
+    Returns lo exactly where f(lo) > 0 and hi exactly where f(hi) <= 0.
+    Elsewhere it halves the bracket a fixed number of times, keeping
+    f(lo) <= 0 < f(hi), and returns the last lo. Every row takes the same
+    steps whatever rows it is batched with, so results cannot depend on
+    how rows are chunked across threads.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    below = f(lo) > 0.0
+    above = ~below & (f(hi) <= 0.0)
+    left, right = lo, hi
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (left + right)
+        up = f(mid) <= 0.0
+        left = np.where(up, mid, left)
+        right = np.where(up, right, mid)
+    return np.where(below, lo, np.where(above, hi, left))
+
+
+def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
-    With estimate_a false, a stays at a_fixed and w is found by a single
-    golden-section search per row over [w_min, 1]. With estimate_a true,
-    w and a alternate golden-section updates (a over [A_MIN, A_MAX])
-    until the per-row log-likelihood gain drops below gain_tol.
+    The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
+    so its maximizer over [weight_lower_bound, 1] is the root of the
+    decreasing score sum(1 / (w + 1 / beta)), beta = g / phi - 1, found by
+    bisection (Johnstone & Silverman 2004). This profile fit gives the
+    best w and its loglik at a given a. With estimate_a false it runs once
+    at a_fixed; with estimate_a true a golden-section search maximizes the
+    profile loglik over a in [A_MIN, A_MAX]. Each row's result depends on
+    that row alone.
 
     Returns (w, a, loglik) vectors of length R.
     """
@@ -326,45 +334,41 @@ def fit_rows(
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
+    if not estimate_a and a_fixed <= 0.0:
+        raise ParameterError("spread a must be positive")
     rows, n = z.shape
     z_abs = np.abs(z)
     l_phi = _log_norm_pdf(z_abs)
 
-    def loglik_given(l_g, w_vec):
-        with np.errstate(divide="ignore"):
-            lw = np.log(w_vec)[:, None]
-            l1mw = np.log1p(-w_vec)[:, None]
-        return np.logaddexp(l1mw + l_phi, lw + l_g).sum(axis=1)
-
-    ones = np.ones(rows)
-
-    if not estimate_a:
-        if a_fixed <= 0.0:
-            raise ParameterError("spread a must be positive")
-        l_g = log_laplace_normal_density(z_abs, a_fixed)
-        w_lo = np.full(rows, weight_lower_bound(n, a_fixed))
-        w, ll = _golden_max(lambda wv: loglik_given(l_g, wv), w_lo, ones, w_tol)
-        return w, np.full(rows, float(a_fixed)), ll
-
-    a = np.full(rows, A_DEFAULT)
-    w = np.full(rows, 0.5)
-    ll = np.full(rows, -np.inf)
-    for _ in range(max_sweeps):
+    def profile(a):
+        """ML weights and their logliks at per-row spreads a."""
         l_g = log_laplace_normal_density(z_abs, a[:, None])
-        w_lo = weight_lower_bound(n, a)
-        w, _ = _golden_max(lambda wv: loglik_given(l_g, wv), w_lo, ones, w_tol)
+        inv_beta = np.subtract(l_g, l_phi)  # log(g / phi), turned into 1 / beta in place
+        with np.errstate(over="ignore", divide="ignore"):
+            np.reciprocal(np.expm1(inv_beta, out=inv_beta), out=inv_beta)
+        terms = np.empty_like(inv_beta)
 
-        def loglik_in_a(a_vec):
-            l_g_new = log_laplace_normal_density(z_abs, a_vec[:, None])
-            return loglik_given(l_g_new, w)
+        def neg_score(w):
+            np.add(inv_beta, w[:, None], out=terms)
+            return -np.reciprocal(terms, out=terms).sum(axis=1)
 
-        a, new_ll = _golden_max(
-            loglik_in_a, np.full(rows, A_MIN), np.full(rows, A_MAX), w_tol
+        w = _bisect(neg_score, weight_lower_bound(n, a), np.ones(rows))
+        del inv_beta, terms  # freed before the loglik pass to lower peak memory
+        with np.errstate(divide="ignore"):
+            lw = np.log(w)[:, None]
+            l1mw = np.log1p(-w)[:, None]
+        return w, np.logaddexp(l1mw + l_phi, lw + l_g).sum(axis=1)
+
+    if estimate_a:
+        a, _ = _golden_max(
+            lambda a_vec: profile(a_vec)[1],
+            np.full(rows, A_MIN),
+            np.full(rows, A_MAX),
+            _A_TOL,
         )
-        gain = new_ll - ll
-        ll = new_ll
-        if np.all(gain < gain_tol):
-            break
+    else:
+        a = np.full(rows, float(a_fixed))
+    w, ll = profile(a)
     return w, a, ll
 
 
@@ -387,7 +391,8 @@ def infer_adjacency(
     Fits the row mixtures, keeps entry (i, j) when row i's posterior
     median at z_ij is nonzero, and retains the edge only when rows i and
     j both keep it. The conservative edge set is therefore a subset of
-    every row-wise edge set.
+    every row-wise edge set. Row i keeps exactly the scores with
+    |z_ij| > t_i, so an edge survives when |z_ij| > max(t_i, t_j).
     """
     if not isinstance(assoc, AssocMatrix):
         raise InvalidInputError("expected an AssocMatrix")
@@ -409,11 +414,14 @@ def infer_adjacency(
     else:
         w, a, ll = fit_rows(off_diag, estimate_a)
 
-    keep = _is_nonzero(z, w[:, None], a[:, None])
-    np.fill_diagonal(keep, False)
-    both = keep & keep.T
-    assert not np.any(both & ~keep), "conservative rule must not add edges"
-    ii, jj = np.nonzero(np.triu(both, k=1))
+    # Every fitted w is at least weight_lower_bound, whose detection
+    # threshold is universal_threshold(m - 1), so that bounds each t_i.
+    t = _bisect(
+        lambda t_vec: _log_detection_margin(t_vec, w, a),
+        np.zeros(m),
+        np.full(m, universal_threshold(m - 1)),
+    )
+    ii, jj = np.nonzero(np.triu(np.abs(z) > np.maximum.outer(t, t), k=1))
     adjacency = SparseAdjacency(m, np.column_stack([ii, jj]))
     fit = MixtureFit(w, a, ll, bool(estimate_a))
     return adjacency, fit

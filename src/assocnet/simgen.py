@@ -21,6 +21,7 @@ given seed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,26 +327,11 @@ def expand_grid(mapping: dict) -> list[SimConfig]:
     the order the swept fields appear. Scalar fields are shared.
     """
     base = dict(mapping)
-    swept = [(name, value) for name, value in base.items() if isinstance(value, list)]
-    if not swept:
-        return [SimConfig.from_dict(base)]
-    configs = []
-    indices = [0] * len(swept)
-    totals = [len(values) for _, values in swept]
-    while True:
-        point = dict(base)
-        for (name, values), idx in zip(swept, indices):
-            point[name] = values[idx]
-        configs.append(SimConfig.from_dict(point))
-        pos = len(indices) - 1
-        while pos >= 0:
-            indices[pos] += 1
-            if indices[pos] < totals[pos]:
-                break
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return configs
+    swept = [name for name, value in base.items() if isinstance(value, list)]
+    return [
+        SimConfig.from_dict({**base, **dict(zip(swept, point))})
+        for point in itertools.product(*(base[name] for name in swept))
+    ]
 
 
 _SUMMARY_METRICS = ("nmi", "tpr", "fpr", "detected_edges")

@@ -184,42 +184,31 @@ class TestFisherZ:
 class TestPvaluesToZ:
     def test_half_maps_to_zero(self):
         values = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"), "upper")
+        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"))
         assert assoc.z[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_known_quantile_against_bisection_oracle(self):
         """p = 0.0227501 maps near z = 2 (oracle: invert Phi by bisection)."""
         p = 0.0227501
         values = np.array([[1.0, p], [p, 1.0]])
-        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"), "upper")
+        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"))
         expected = invert_phi_upper(p)
         assert assoc.z[0, 1] == pytest.approx(expected, abs=1e-9)
         assert assoc.z[0, 1] == pytest.approx(2.0, abs=1e-4)
 
     def test_zero_p_clamps_finite(self):
         values = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"), "upper")
+        assoc = pvalues_to_z(SymmetricMatrix(values, "pvalue"))
         expected = invert_phi_upper(P_MIN)
         assert np.isfinite(assoc.z[0, 1])
         assert assoc.z[0, 1] == pytest.approx(expected, abs=1e-6)
-
-    def test_lower_tail_mirrors_upper(self):
-        """Small lower-tail p gives the same large positive score."""
-        p = 1e-4
-        upper = pvalues_to_z(
-            SymmetricMatrix(np.array([[1.0, p], [p, 1.0]]), "pvalue"), "upper"
-        )
-        lower = pvalues_to_z(
-            SymmetricMatrix(np.array([[1.0, p], [p, 1.0]]), "pvalue"), "lower"
-        )
-        assert lower.z[0, 1] == pytest.approx(upper.z[0, 1], rel=1e-12)
 
     def test_strictly_decreasing_in_p(self):
         ps = np.linspace(0.01, 0.99, 25)
         zs = []
         for p in ps:
             values = np.array([[1.0, p], [p, 1.0]])
-            zs.append(pvalues_to_z(SymmetricMatrix(values, "pvalue"), "upper").z[0, 1])
+            zs.append(pvalues_to_z(SymmetricMatrix(values, "pvalue")).z[0, 1])
         assert np.all(np.diff(zs) < 0)
 
     def test_out_of_range_rejected(self):

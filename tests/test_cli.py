@@ -130,15 +130,13 @@ class TestInfer:
                 str(path),
                 "--kind",
                 "pvalue",
-                "--tail",
-                "upper",
                 "--output-dir",
                 str(out),
             ]
         )
         assert code == 0
         expected_adj, _ = infer_adjacency(
-            pvalues_to_z(SymmetricMatrix(pvals, "pvalue"), "upper")
+            pvalues_to_z(SymmetricMatrix(pvals, "pvalue"))
         )
         got = read_edges_tsv(out / "edges.tsv")
         assert np.array_equal(got.to_dense(), expected_adj.to_dense())
@@ -183,14 +181,6 @@ class TestInfer:
         path = tmp_path / "c.csv"
         write_matrix_csv(path, np.eye(3))
         assert main(["infer", str(path), "--kind", "correlation"]) == 2
-
-    def test_tail_outside_pvalues_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "c.csv"
-        write_matrix_csv(path, np.eye(3))
-        code = main(
-            ["infer", str(path), "--kind", "correlation", "--nu", "50", "--tail", "upper"]
-        )
-        assert code == 2
 
     def test_missing_input_file_is_a_data_error(self, tmp_path, capsys):
         code = main(

@@ -437,7 +437,7 @@ class TestFitting:
         assert np.all(ll_joint >= ll_fixed - 1e-9)
         assert np.all((a_joint >= A_MIN) & (a_joint <= A_MAX))
 
-    def test_golden_section_beats_dense_weight_grid(self):
+    def test_score_root_beats_dense_weight_grid(self):
         rng = np.random.default_rng(17)
         row = sample_mixture_row(500, 0.15, 0.5, rng)
         w_hat, _, ll_hat = fit_row(row)
@@ -539,11 +539,12 @@ class TestInferAdjacency:
     def test_thread_count_does_not_change_result(self):
         rng = np.random.default_rng(21)
         assoc = _random_assoc(rng, 30, scale=2.5)
-        adj_one, fit_one = infer_adjacency(assoc, threads=1)
-        adj_three, fit_three = infer_adjacency(assoc, threads=3)
-        assert adj_one == adj_three
-        np.testing.assert_array_equal(fit_one.w, fit_three.w)
-        np.testing.assert_array_equal(fit_one.a, fit_three.a)
+        for estimate_a in (False, True):
+            adj_one, fit_one = infer_adjacency(assoc, estimate_a, threads=1)
+            adj_three, fit_three = infer_adjacency(assoc, estimate_a, threads=3)
+            assert adj_one == adj_three
+            np.testing.assert_array_equal(fit_one.w, fit_three.w)
+            np.testing.assert_array_equal(fit_one.a, fit_three.a)
 
     def test_estimated_a_flag_recorded(self):
         rng = np.random.default_rng(22)
