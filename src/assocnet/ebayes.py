@@ -31,17 +31,26 @@ A_MAX = 4.0
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _A_TOL = 1e-6  # golden-section bracket width at which the search over a stops
-_HALVINGS = 60  # bisection steps: a bracket of width 8 ends narrower than 1e-17
+# Steps of the t_i bisection (a bracket of width 8 ends narrower than 1e-17)
+# and the cap on the safeguarded Newton steps of the weight solve.
+_HALVINGS = 60
+_STEP_RTOL = 1e-15  # a Newton step this small relative to w is at rounding level
 
 
 @dataclass(frozen=True)
 class MixtureFit:
-    """Per-row mixture estimates: weight, slab spread, maximized loglik."""
+    """Per-row mixture estimates: weight, slab spread, maximized loglik,
+    and detection threshold t_i (the row keeps scores with |z| > t_i).
+
+    infer_adjacency always fills threshold; it is None only in fits built
+    by hand from the first four fields.
+    """
 
     w: np.ndarray
     a: np.ndarray
     loglik: np.ndarray
     estimated_a: bool
+    threshold: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
@@ -56,6 +65,11 @@ class MixtureFit:
             raise InvalidInputError("weights must lie in [0, 1]")
         if np.any(a <= 0.0):
             raise InvalidInputError("spreads must be positive")
+        if self.threshold is not None:
+            t = np.asarray(self.threshold, dtype=np.float64)
+            object.__setattr__(self, "threshold", t)
+            if t.shape != w.shape or np.any(t < 0.0):
+                raise InvalidInputError("thresholds must be nonnegative, one per row")
 
 
 @dataclass(frozen=True)
@@ -315,17 +329,66 @@ def _bisect(f, lo, hi):
     return np.where(below, lo, np.where(above, hi, left))
 
 
+def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Per-row root in [lo, 1] of the decreasing score S(w) = sum(1 / (w + c)).
+
+    c is the (R, L) array inv_beta. Returns lo exactly where S(lo) < 0 and
+    1.0 exactly where S(1) >= 0. Elsewhere it runs Newton's method on
+    h(w) = w S(w), which is close to linear in w even when a few large
+    scores make S behave like k / w, starting from sqrt(lo). Each row keeps
+    a bracket with S > 0 at its lo and S <= 0 at its hi; a Newton step that
+    leaves the bracket, or is more than half the step before last, is
+    replaced by the bracket midpoint, so no row does worse than bisection.
+    A row stops once its step is below _STEP_RTOL relative to w; a row
+    still moving after _HALVINGS steps returns its lo. Every row's steps
+    and stopping point depend on that row alone, so results cannot depend
+    on how rows are batched or chunked across threads.
+    """
+    terms = np.empty_like(inv_beta)
+
+    def score(w):
+        np.add(inv_beta, w[:, None], out=terms)
+        return np.reciprocal(terms, out=terms).sum(axis=1)
+
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.ones_like(lo)
+    at_lo = score(lo) < 0.0
+    at_hi = ~at_lo & (score(hi) >= 0.0)
+    live = ~(at_lo | at_hi)
+    w = np.where(at_lo, lo, np.where(at_hi, hi, np.sqrt(lo)))
+    step = step_old = hi - lo
+    for _ in range(_HALVINGS):
+        if not live.any():
+            break
+        s = score(w)
+        h_prime = s - w * np.einsum("ij,ij->i", terms, terms)  # S + w S'
+        right = s > 0.0
+        lo = np.where(right, w, lo)
+        hi = np.where(right, hi, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = w - w * s / h_prime
+        # NaN fails both comparisons and so falls back to the midpoint too.
+        keep = (newton >= lo) & (newton <= hi)
+        keep &= np.abs(newton - w) <= 0.5 * step_old
+        nxt = np.where(keep, newton, 0.5 * (lo + hi))
+        step_old, step = step, np.abs(nxt - w)
+        w = np.where(live, nxt, w)
+        live &= step > _STEP_RTOL * nxt
+    return np.where(live, lo, w)
+
+
 def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
     The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
     so its maximizer over [weight_lower_bound, 1] is the root of the
-    decreasing score sum(1 / (w + 1 / beta)), beta = g / phi - 1, found by
-    bisection (Johnstone & Silverman 2004). This profile fit gives the
-    best w and its loglik at a given a. With estimate_a false it runs once
-    at a_fixed; with estimate_a true a golden-section search maximizes the
-    profile loglik over a in [A_MIN, A_MAX]. Each row's result depends on
-    that row alone.
+    decreasing score sum(1 / (w + 1 / beta)), beta = g / phi - 1
+    (Johnstone & Silverman 2004), found by a safeguarded Newton iteration
+    that stops each row once its step is at rounding level. This profile
+    fit gives the best w and its loglik at a given a. With estimate_a
+    false it runs once at a_fixed; with estimate_a true a golden-section
+    search maximizes the profile loglik over a in [A_MIN, A_MAX]. Each
+    row's result depends on that row alone.
 
     Returns (w, a, loglik) vectors of length R.
     """
@@ -346,14 +409,8 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT
         inv_beta = np.subtract(l_g, l_phi)  # log(g / phi), turned into 1 / beta in place
         with np.errstate(over="ignore", divide="ignore"):
             np.reciprocal(np.expm1(inv_beta, out=inv_beta), out=inv_beta)
-        terms = np.empty_like(inv_beta)
-
-        def neg_score(w):
-            np.add(inv_beta, w[:, None], out=terms)
-            return -np.reciprocal(terms, out=terms).sum(axis=1)
-
-        w = _bisect(neg_score, weight_lower_bound(n, a), np.ones(rows))
-        del inv_beta, terms  # freed before the loglik pass to lower peak memory
+        w = _score_root(inv_beta, weight_lower_bound(n, a))
+        del inv_beta  # freed before the loglik pass to lower peak memory
         with np.errstate(divide="ignore"):
             lw = np.log(w)[:, None]
             l1mw = np.log1p(-w)[:, None]
@@ -423,5 +480,5 @@ def infer_adjacency(
     )
     ii, jj = np.nonzero(np.triu(np.abs(z) > np.maximum.outer(t, t), k=1))
     adjacency = SparseAdjacency(m, np.column_stack([ii, jj]))
-    fit = MixtureFit(w, a, ll, bool(estimate_a))
+    fit = MixtureFit(w, a, ll, bool(estimate_a), t)
     return adjacency, fit

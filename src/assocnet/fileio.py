@@ -224,12 +224,17 @@ def canonical_json(obj) -> str:
 
 
 def write_mixture_fit_json(path, fit, params: dict) -> None:
-    """Write per-row mixture estimates plus run parameters as JSON."""
+    """Write per-row mixture estimates plus run parameters as JSON.
+
+    "threshold" is null for a fit that carries no detection thresholds.
+    """
+    t = fit.threshold
     payload = {
         "estimated_a": fit.estimated_a,
         "w": [float(x) for x in fit.w],
         "a": [float(x) for x in fit.a],
         "loglik": [float(x) for x in fit.loglik],
+        "threshold": None if t is None else [float(x) for x in t],
         "params": params,
     }
     with _open_write(path) as fh:

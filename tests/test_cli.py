@@ -18,7 +18,7 @@ from scipy.special import ndtr
 from assocnet import __version__
 from assocnet.assoc import SymmetricMatrix, fisher_z, pvalues_to_z
 from assocnet.cli import main
-from assocnet.ebayes import infer_adjacency
+from assocnet.ebayes import detection_threshold, infer_adjacency
 from assocnet.fileio import (
     read_edges_tsv,
     read_matrix_bin,
@@ -114,6 +114,24 @@ class TestInfer:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "infer"
         assert set(manifest["inputs"]) == {"input"}
+
+    def test_written_thresholds_decide_the_written_edges(self, tmp_path, corr_values):
+        scores = tmp_path / "corr.csv"
+        write_matrix_csv(scores, corr_values)
+        out = tmp_path / "out"
+        code = main(["infer", str(scores), "--kind", "correlation", "--nu", "100",
+                     "--output-dir", str(out)])
+        assert code == 0
+        fit = read_mixture_fit_json(out / "mixture_fit.json")
+        t = np.array(fit["threshold"])
+        assert t.shape == (40,)
+        for w, a, t_i in zip(fit["w"], fit["a"], t):
+            assert t_i == pytest.approx(detection_threshold(w, a), abs=1e-9)
+        z = fisher_z(SymmetricMatrix(corr_values, "correlation"), 100).z
+        edges = read_edges_tsv(out / "edges.tsv").edges
+        assert len(edges) > 0
+        for i, j in edges:
+            assert abs(z[i, j]) > max(t[i], t[j])
 
     def test_pvalue_input_gives_the_same_network(self, tmp_path, corr_values):
         # upper-tail p-values carry the same evidence as the scores they

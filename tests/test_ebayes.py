@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, quad
 from scipy.optimize import brentq
 
-from assocnet.assoc import AssocMatrix
+from assocnet import ebayes
+from assocnet.assoc import AssocMatrix, fisher_z
 from assocnet.ebayes import (
     A_DEFAULT,
     A_MAX,
@@ -40,6 +41,7 @@ from assocnet.ebayes import (
     weight_lower_bound,
 )
 from assocnet.errors import InvalidInputError, ParameterError
+from assocnet.simgen import SimConfig, generate_correlations, generate_ground_truth
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -464,9 +466,113 @@ class TestFitting:
     def test_mixture_fit_validation(self):
         with pytest.raises(InvalidInputError):
             MixtureFit(np.array([0.5, 1.5]), np.array([0.5, 0.5]),
-                       np.array([0.0, 0.0]), False)
+                       np.array([0.0, 0.0]), False, np.array([1.0, 1.0]))
         with pytest.raises(InvalidInputError):
-            MixtureFit(np.array([0.5]), np.array([-1.0]), np.array([0.0]), False)
+            MixtureFit(np.array([0.5]), np.array([-1.0]), np.array([0.0]), False,
+                       np.array([1.0]))
+
+    def test_mixture_fit_rejects_bad_thresholds(self):
+        ones = np.ones(2)
+        for bad in (np.array([1.0, -0.5]), np.array([1.0]), np.ones((2, 1))):
+            with pytest.raises(InvalidInputError):
+                MixtureFit(0.5 * ones, ones, ones, False, bad)
+
+
+# ------------------------------------------------------- weight score root
+
+
+def inv_beta(z, a):
+    """1 / beta, beta = g / phi - 1, for score rows z at per-row spreads a."""
+    log_phi = -0.5 * z**2 - math.log(SQRT_2PI)
+    log_ratio = log_laplace_normal_density(z, a[:, None]) - log_phi
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.expm1(log_ratio)
+
+
+def bisect_score_root(c, lo):
+    """The weight by plain bisection on the same score sum(1 / (w + c))."""
+    return ebayes._bisect(
+        lambda w: -np.sum(1.0 / (c + w[:, None]), axis=1), lo, np.ones(c.shape[0])
+    )
+
+
+def score_root_capped(monkeypatch, c, lo, cap):
+    with monkeypatch.context() as patch:
+        patch.setattr(ebayes, "_HALVINGS", cap)
+        return ebayes._score_root(c, lo)
+
+
+def mixed_rows(rng, n):
+    rows = [sample_mixture_row(n, w, a, rng) for w in (0.02, 0.1, 0.3, 0.7)
+            for a in (0.3, 0.5, 2.0)]
+    rows += [rng.standard_normal(n) * scale for scale in (1.0, 1.0, 1.3, 1.6, 2.5)]
+    return np.vstack(rows)
+
+
+class TestScoreRoot:
+    @pytest.mark.parametrize("n", [31, 300, 1001])
+    def test_agrees_with_bisection(self, n):
+        rng = np.random.default_rng(40 + n)
+        z = mixed_rows(rng, n)
+        a = np.full(z.shape[0], A_DEFAULT)
+        c = inv_beta(z, a)
+        lo = weight_lower_bound(n, a)
+        w_newton = ebayes._score_root(c, lo)
+        w_bisect = bisect_score_root(c, lo)
+        assert np.sum((w_bisect > lo) & (w_bisect < 1.0)) >= 5
+        np.testing.assert_array_less(
+            np.abs(w_newton - w_bisect), 4.0 * np.finfo(float).eps * w_bisect
+        )
+
+    def test_all_zero_row_hits_the_floor_exactly(self):
+        a = np.array([A_DEFAULT, 1.7])
+        lo = weight_lower_bound(200, a)
+        w = ebayes._score_root(inv_beta(np.zeros((2, 200)), a), lo)
+        assert w[0] == lo[0] and w[1] == lo[1]
+
+    def test_root_beyond_one_returns_exactly_one(self):
+        z = np.vstack([np.full(50, 9.0), np.linspace(-12.0, 12.0, 50)])
+        a = np.full(2, A_DEFAULT)
+        c = inv_beta(z, a)
+        assert np.all(np.sum(1.0 / (1.0 + c), axis=1) >= 0.0)
+        w = ebayes._score_root(c, weight_lower_bound(50, a))
+        assert w[0] == 1.0 and w[1] == 1.0
+
+    def test_row_result_does_not_depend_on_its_batch(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        z = np.vstack([np.zeros(257), mixed_rows(rng, 257)])
+        a = np.linspace(0.2, 3.0, z.shape[0])
+        c = inv_beta(z, a)
+        lo = weight_lower_bound(257, a)
+        batch = ebayes._score_root(c, lo)
+        steps = []
+        for i in range(z.shape[0]):
+            alone = ebayes._score_root(c[i:i + 1], lo[i:i + 1])
+            assert alone[0] == batch[i]
+            steps.append(next(
+                cap for cap in range(ebayes._HALVINGS + 1)
+                if score_root_capped(monkeypatch, c[i:i + 1], lo[i:i + 1], cap)[0]
+                == alone[0]
+            ))
+        # the batch mixes rows settled at once with rows that need more steps
+        assert min(steps) == 0 and max(steps) >= 5
+
+    def test_every_row_of_a_simulated_matrix_settles_within_twelve_steps(
+        self, monkeypatch
+    ):
+        config = SimConfig(m=300, k=3, community_size=60, theta_in=50.0,
+                           theta_out=1.0, r_gen=0.8, nu=200, seed=5)
+        truth = generate_ground_truth(config)
+        corr = generate_correlations(truth.adjacency, config.r_gen, config.nu, 5)
+        z = fisher_z(corr, config.nu).z
+        rows = z[~np.eye(300, dtype=bool)].reshape(300, 299)
+        for a_value in (0.1, A_DEFAULT, 1.0):
+            a = np.full(300, a_value)
+            c = inv_beta(rows, a)
+            lo = weight_lower_bound(299, a)
+            w = ebayes._score_root(c, lo)
+            assert np.sum((w > lo) & (w < 1.0)) >= 100
+            np.testing.assert_array_equal(score_root_capped(monkeypatch, c, lo, 12), w)
 
 
 # --------------------------------------------------------- full inference

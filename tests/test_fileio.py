@@ -279,6 +279,7 @@ class TestJsonFormats:
             w=np.array([0.1, 0.5]),
             a=np.array([0.5, 1.25]),
             loglik=np.array([-10.0, -2.5]),
+            threshold=np.array([2.5, 0.75]),
             estimated_a=True,
         )
         write_mixture_fit_json(path, fit, {"threads": 2, "a": None})
