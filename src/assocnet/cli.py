@@ -35,6 +35,7 @@ from .fileio import (
     read_edges_tsv,
     read_matrix_auto,
     read_partition_tsv,
+    sniff_kind,
     write_edges_tsv,
     write_manifest,
     write_matrix_bin,
@@ -217,26 +218,10 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _sniff_kind(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("m="):
-                    return "adjacency"
-                if comment.startswith("K="):
-                    return "partition"
-            break
-    raise InvalidInputError(f"{path}: expected a '# m=' or '# K=' header")
-
-
 def cmd_evaluate(args) -> int:
     start = time.perf_counter()
-    kind_a = _sniff_kind(args.truth)
-    kind_b = _sniff_kind(args.candidate)
+    kind_a = sniff_kind(args.truth)
+    kind_b = sniff_kind(args.candidate)
     if kind_a != kind_b:
         raise UsageError("cannot compare a partition with an adjacency")
     rows = []

@@ -35,6 +35,7 @@ _A_TOL = 1e-6  # golden-section bracket width at which the search over a stops
 # and the cap on the safeguarded Newton steps of the weight solve.
 _HALVINGS = 60
 _STEP_RTOL = 1e-15  # a Newton step this small relative to w is at rounding level
+_BLOCK_ENTRIES = 1 << 18  # scores per infer_adjacency row block (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -251,9 +252,10 @@ def _golden_max(f, lo, hi, tol: float):
     """Maximize f componentwise over per-row brackets [lo, hi].
 
     A five-point scan locates the best cell, golden-section iterations
-    shrink it below tol, and exact boundary values are kept when they
-    beat the interior optimum. f maps a vector of points (one per row)
-    to a vector of objective values. Ties resolve toward smaller points.
+    shrink it below tol, and the better of the two last golden points is
+    returned unless an exact boundary value beats it. f maps a vector of
+    points (one per row) to a vector of objective values. Ties resolve
+    toward smaller points.
     """
     lo = np.array(lo, dtype=np.float64, copy=True)
     hi = np.array(hi, dtype=np.float64, copy=True)
@@ -269,42 +271,35 @@ def _golden_max(f, lo, hi, tol: float):
     # Per-row iteration counts keep every row's trajectory identical to a
     # standalone run on that row alone, so results cannot depend on how
     # rows are batched or chunked across threads.
-    needed = np.zeros(h.shape, dtype=np.int64)
-    wide = h > tol
-    if np.any(wide):
-        needed[wide] = np.ceil(
-            np.log(tol / h[wide]) / np.log(_INVPHI)
-        ).astype(np.int64)
-        x1 = b - _INVPHI * h
-        x2 = a + _INVPHI * h
-        f1 = f(x1)
-        f2 = f(x2)
-        for step in range(int(needed.max())):
-            active = needed > step
-            left = f1 >= f2
-            shrink_left = active & left
-            shrink_right = active & ~left
-            b = np.where(shrink_left, x2, b)
-            a = np.where(shrink_right, x1, a)
-            h = b - a
-            fresh = np.where(left, b - _INVPHI * h, a + _INVPHI * h)
-            f_fresh = f(fresh)
-            old_x1, old_f1 = x1, f1
-            x1 = np.where(shrink_left, fresh, np.where(shrink_right, x2, x1))
-            f1 = np.where(shrink_left, f_fresh, np.where(shrink_right, f2, f1))
-            x2 = np.where(shrink_left, old_x1, np.where(shrink_right, fresh, x2))
-            f2 = np.where(shrink_left, old_f1, np.where(shrink_right, f_fresh, f2))
+    needed = np.ceil(np.log(tol / np.maximum(h, tol)) / np.log(_INVPHI)).astype(np.int64)
+    x1 = b - _INVPHI * h
+    x2 = a + _INVPHI * h
+    f1 = f(x1)
+    f2 = f(x2)
+    for step in range(int(needed.max(initial=0))):
+        active = needed > step
+        left = f1 >= f2
+        shrink_left = active & left
+        shrink_right = active & ~left
+        b = np.where(shrink_left, x2, b)
+        a = np.where(shrink_right, x1, a)
+        h = b - a
+        fresh = np.where(left, b - _INVPHI * h, a + _INVPHI * h)
+        f_fresh = f(fresh)
+        old_x1, old_f1 = x1, f1
+        x1 = np.where(shrink_left, fresh, np.where(shrink_right, x2, x1))
+        f1 = np.where(shrink_left, f_fresh, np.where(shrink_right, f2, f1))
+        x2 = np.where(shrink_left, old_x1, np.where(shrink_right, fresh, x2))
+        f2 = np.where(shrink_left, old_f1, np.where(shrink_right, f_fresh, f2))
 
-    x = (a + b) / 2.0
-    fx = f(x)
+    take_x1 = f1 >= f2
+    x = np.where(take_x1, x1, x2)
+    fx = np.where(take_x1, f1, f2)
     f_lo, f_hi = grid_vals[0], grid_vals[-1]
     take_hi = f_hi > fx
     x = np.where(take_hi, hi, x)
     fx = np.where(take_hi, f_hi, fx)
-    take_lo = f_lo >= fx
-    x = np.where(take_lo, lo, x)
-    fx = np.where(take_lo, f_lo, fx)
-    return x, fx
+    return np.where(f_lo >= fx, lo, x)
 
 
 def _bisect(f, lo, hi):
@@ -312,9 +307,7 @@ def _bisect(f, lo, hi):
 
     Returns lo exactly where f(lo) > 0 and hi exactly where f(hi) <= 0.
     Elsewhere it halves the bracket a fixed number of times, keeping
-    f(lo) <= 0 < f(hi), and returns the last lo. Every row takes the same
-    steps whatever rows it is batched with, so results cannot depend on
-    how rows are chunked across threads.
+    f(lo) <= 0 < f(hi), and returns the last lo.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -377,7 +370,7 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.where(live, lo, w)
 
 
-def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT):
+def fit_rows(z: np.ndarray, estimate_a: bool = False):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
     The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
@@ -386,7 +379,7 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT
     (Johnstone & Silverman 2004), found by a safeguarded Newton iteration
     that stops each row once its step is at rounding level. This profile
     fit gives the best w and its loglik at a given a. With estimate_a
-    false it runs once at a_fixed; with estimate_a true a golden-section
+    false it runs once at A_DEFAULT; with estimate_a true a golden-section
     search maximizes the profile loglik over a in [A_MIN, A_MAX]. Each
     row's result depends on that row alone.
 
@@ -397,8 +390,6 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
-    if not estimate_a and a_fixed <= 0.0:
-        raise ParameterError("spread a must be positive")
     rows, n = z.shape
     z_abs = np.abs(z)
     l_phi = _log_norm_pdf(z_abs)
@@ -417,24 +408,24 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, a_fixed: float = A_DEFAULT
         return w, np.logaddexp(l1mw + l_phi, lw + l_g).sum(axis=1)
 
     if estimate_a:
-        a, _ = _golden_max(
+        a = _golden_max(
             lambda a_vec: profile(a_vec)[1],
             np.full(rows, A_MIN),
             np.full(rows, A_MAX),
             _A_TOL,
         )
     else:
-        a = np.full(rows, float(a_fixed))
+        a = np.full(rows, A_DEFAULT)
     w, ll = profile(a)
     return w, a, ll
 
 
-def fit_row(z_row, estimate_a: bool = False, a_fixed: float = A_DEFAULT):
+def fit_row(z_row, estimate_a: bool = False):
     """Fit (w, a, loglik) for a single score row (diagonal already removed)."""
     z_row = np.asarray(z_row, dtype=np.float64)
     if z_row.ndim != 1 or z_row.size < 2:
         raise InvalidInputError("score row must hold at least two entries")
-    w, a, ll = fit_rows(z_row[None, :], estimate_a=estimate_a, a_fixed=a_fixed)
+    w, a, ll = fit_rows(z_row[None, :], estimate_a=estimate_a)
     return float(w[0]), float(a[0]), float(ll[0])
 
 
@@ -450,35 +441,45 @@ def infer_adjacency(
     j both keep it. The conservative edge set is therefore a subset of
     every row-wise edge set. Row i keeps exactly the scores with
     |z_ij| > t_i, so an edge survives when |z_ij| > max(t_i, t_j).
+
+    Rows are fitted and thresholded in blocks of at most about
+    _BLOCK_ENTRIES scores, at least one per thread, which the threads
+    share; working memory beyond the input is O(threads * block + edges).
+    Each row's fit depends on that row alone, so any thread count gives
+    the same result.
     """
     if not isinstance(assoc, AssocMatrix):
         raise InvalidInputError("expected an AssocMatrix")
     m = assoc.m
     if m < 2:
         raise InvalidInputError("need at least two variables")
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
     z = assoc.z
-    off_diag = z[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    n_blocks = max(threads, -(-m * m // _BLOCK_ENTRIES))
+    blocks = np.array_split(np.arange(m), min(m, n_blocks))
 
-    if threads > 1:
-        chunks = np.array_split(np.arange(m), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda idx: fit_rows(off_diag[idx], estimate_a), chunks)
-            )
-        w = np.concatenate([p[0] for p in parts])
-        a = np.concatenate([p[1] for p in parts])
-        ll = np.concatenate([p[2] for p in parts])
-    else:
-        w, a, ll = fit_rows(off_diag, estimate_a)
+    def fit_block(rows):
+        scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
+        return fit_rows(scores.reshape(rows.size, m - 1), estimate_a)
 
-    # Every fitted w is at least weight_lower_bound, whose detection
-    # threshold is universal_threshold(m - 1), so that bounds each t_i.
-    t = _bisect(
-        lambda t_vec: _log_detection_margin(t_vec, w, a),
-        np.zeros(m),
-        np.full(m, universal_threshold(m - 1)),
-    )
-    ii, jj = np.nonzero(np.triu(np.abs(z) > np.maximum.outer(t, t), k=1))
-    adjacency = SparseAdjacency(m, np.column_stack([ii, jj]))
+    def block_edges(rows):
+        # Columns from the block's first row on, so triu keeps j > i.
+        first, stop = rows[0], rows[-1] + 1
+        t_pair = np.maximum(t[first:stop, None], t[first:])
+        above = np.abs(z[first:stop, first:]) > t_pair
+        return np.argwhere(np.triu(above, k=1)) + first
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
+        # Every fitted w is at least weight_lower_bound, whose detection
+        # threshold is universal_threshold(m - 1), so that bounds each t_i.
+        t = _bisect(
+            lambda t_vec: _log_detection_margin(t_vec, w, a),
+            np.zeros(m),
+            np.full(m, universal_threshold(m - 1)),
+        )
+        edges = np.concatenate(list(pool.map(block_edges, blocks)))
+    adjacency = SparseAdjacency(m, edges)
     fit = MixtureFit(w, a, ll, bool(estimate_a), t)
     return adjacency, fit

@@ -190,6 +190,17 @@ def read_partition_tsv(path) -> Partition:
     return Partition(ordered, k)
 
 
+def sniff_kind(path) -> str:
+    """"adjacency" or "partition", from a "# m=" or "# K=" first line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next((line.strip() for line in fh if line.strip()), "")
+    comment = first.lstrip("#").strip() if first.startswith("#") else ""
+    for prefix, kind in (("m=", "adjacency"), ("K=", "partition")):
+        if comment.startswith(prefix):
+            return kind
+    raise InvalidInputError(f"{path}: expected a '# m=' or '# K=' header")
+
+
 def read_incidence_tsv(path):
     """Read (entity-id, item-id) pairs into a binary incidence matrix.
 

@@ -12,6 +12,7 @@ Independent oracles, defined before any assertions use them:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -642,15 +643,57 @@ class TestInferAdjacency:
         with pytest.raises(InvalidInputError):
             infer_adjacency(np.zeros((5, 5)))
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(21)
         assoc = _random_assoc(rng, 30, scale=2.5)
         for estimate_a in (False, True):
             adj_one, fit_one = infer_adjacency(assoc, estimate_a, threads=1)
-            adj_three, fit_three = infer_adjacency(assoc, estimate_a, threads=3)
-            assert adj_one == adj_three
-            np.testing.assert_array_equal(fit_one.w, fit_three.w)
-            np.testing.assert_array_equal(fit_one.a, fit_three.a)
+            runs = [infer_adjacency(assoc, estimate_a, threads=3)]
+            block_sizes = []
+            fit_rows_unpatched = ebayes.fit_rows
+
+            def counting_fit_rows(z, *args):
+                block_sizes.append(len(z))
+                return fit_rows_unpatched(z, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ebayes, "_BLOCK_ENTRIES", assoc.m)
+                patch.setattr(ebayes, "fit_rows", counting_fit_rows)
+                runs += [infer_adjacency(assoc, estimate_a, threads=n) for n in (1, 3)]
+            assert block_sizes == [1] * (2 * assoc.m)  # every row its own block
+            for adj, fit in runs:
+                assert adj == adj_one
+                for field in ("w", "a", "loglik", "threshold"):
+                    np.testing.assert_array_equal(
+                        getattr(fit, field), getattr(fit_one, field)
+                    )
+
+    def test_working_memory_stays_below_the_input(self):
+        # Sparse strong signal over N(0, 1) noise, so the edge list stays
+        # small; no m x m intermediate fits under the input's own size.
+        m = 2000
+        rng = np.random.default_rng(24)
+        z = rng.standard_normal((m, m))
+        z = (z + z.T) / np.sqrt(2.0)
+        signal = np.triu(rng.random((m, m)) < 0.01, k=1)
+        z[signal | signal.T] += 5.0
+        np.fill_diagonal(z, 0.0)
+        assoc = AssocMatrix(z, "inverse-normal", None)
+        del z, signal
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adj, _ = infer_adjacency(assoc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert adj.edge_count > 0
+        assert peak < assoc.z.nbytes
+
+    def test_thread_count_below_one_rejected(self):
+        assoc = _random_assoc(np.random.default_rng(25), 5)
+        with pytest.raises(ParameterError):
+            infer_adjacency(assoc, threads=0)
 
     def test_estimated_a_flag_recorded(self):
         rng = np.random.default_rng(22)

@@ -28,6 +28,7 @@ from assocnet.fileio import (
     read_partition_tsv,
     read_records_jsonl,
     sha256_file,
+    sniff_kind,
     write_edges_tsv,
     write_manifest,
     write_matrix_bin,
@@ -231,6 +232,24 @@ class TestPartitionTsv:
         path.write_text("# K=1\n", encoding="utf-8")
         with pytest.raises(InvalidInputError, match="no nodes"):
             read_partition_tsv(path)
+
+
+class TestSniffKind:
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("\n\n#  m=2\n1\t2\n", "adjacency"), ("# K=1\n1\t1\n", "partition")],
+    )
+    def test_first_header_decides_the_kind(self, tmp_path, text, kind):
+        path = tmp_path / "f.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert sniff_kind(path) == kind
+
+    @pytest.mark.parametrize("text", ["1\t2\n# m=2\n", "# comment\n# K=1\n", ""])
+    def test_rejects_a_file_not_opened_by_a_header(self, tmp_path, text):
+        path = tmp_path / "raw.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="header"):
+            sniff_kind(path)
 
 
 class TestIncidenceTsv:
