@@ -134,6 +134,18 @@ def correlation_from_covariance(cov: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(corr, "correlation")
 
 
+def _symmetrize_zero_diagonal(z: np.ndarray) -> None:
+    """In place: z = (z + z.T) / 2 with a zero diagonal.
+
+    Elementwise transforms need not give bit-equal results at (i, j) and
+    (j, i) (vectorized and scalar code paths may round differently), so
+    the scores are averaged with their transpose.
+    """
+    z += z.T
+    z /= 2.0
+    np.fill_diagonal(z, 0.0)
+
+
 def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
     """Variance-stabilize correlations: z = sqrt(dof - 3) * atanh(r).
 
@@ -145,10 +157,11 @@ def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
         raise ParameterError("input must be a correlation matrix")
     if not np.isfinite(dof) or dof <= 3:
         raise ParameterError("dof must be a finite number greater than 3")
-    r = np.clip(corr.values, -R_MAX, R_MAX)
-    z = np.sqrt(dof - 3.0) * np.arctanh(r)
-    z = (z + z.T) / 2.0
-    np.fill_diagonal(z, 0.0)
+    # The one new m x m buffer, row-major whatever the input's layout.
+    z = np.clip(corr.values, -R_MAX, R_MAX, out=np.empty(corr.values.shape))
+    np.arctanh(z, out=z)
+    z *= np.sqrt(dof - 3.0)
+    _symmetrize_zero_diagonal(z)
     return AssocMatrix(z, "fisher", float(dof))
 
 
@@ -161,13 +174,13 @@ def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
     """
     if pvals.kind != "pvalue":
         raise ParameterError("input must be a p-value matrix")
-    p = np.clip(pvals.values, P_MIN, 1.0 - P_MIN)
+    z = np.clip(pvals.values, P_MIN, 1.0 - P_MIN, out=np.empty(pvals.values.shape))
     # Phi^{-1}(1 - p) == -Phi^{-1}(p) exactly; the right-hand form avoids the
     # precision loss of forming 1 - p in floating point when p is tiny, so the
     # significant (small-p) end keeps full accuracy.
-    z = -ndtri(p)
-    z = (z + z.T) / 2.0
-    np.fill_diagonal(z, 0.0)
+    ndtri(z, out=z)
+    np.negative(z, out=z)
+    _symmetrize_zero_diagonal(z)
     return AssocMatrix(z, "inverse-normal", None)
 
 

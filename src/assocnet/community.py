@@ -21,6 +21,9 @@ from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import Partition, SparseAdjacency
 
 DENSE_CUTOFF = 32
+# Eigenpairs asked for by the first eigengap solve; doubled while a later
+# gap could still be the largest (see select_num_communities).
+EIGENGAP_FIRST_REQUEST = 24
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,12 @@ def _lloyd(points, k, rng, max_iter=300):
 
 
 def _kmeans_runs(points, k, restarts, seed):
-    """Best-of-restarts k-means; returns (labels, best_wcss, all_wcss)."""
+    """Best-of-restarts k-means.
+
+    Returns (labels, best_wcss, all_wcss, all_iterations), the last two
+    with one entry per restart; an iteration count of 300 means that
+    restart stopped at the cap without converging.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise InvalidInputError("points must be a 2-D array")
@@ -198,13 +206,14 @@ def _kmeans_runs(points, k, restarts, seed):
     if k < 1:
         raise ParameterError("K must be at least 1")
     streams = np.random.SeedSequence(seed).spawn(restarts)
-    best_labels, best_wcss, all_wcss = None, np.inf, []
+    best_labels, best_wcss, all_wcss, all_iterations = None, np.inf, [], []
     for stream in streams:
-        labels, wcss, _ = _lloyd(points, k, np.random.default_rng(stream))
+        labels, wcss, iterations = _lloyd(points, k, np.random.default_rng(stream))
         all_wcss.append(wcss)
+        all_iterations.append(iterations)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
-    return best_labels, best_wcss, all_wcss
+    return best_labels, best_wcss, all_wcss, all_iterations
 
 
 def kmeans(points: np.ndarray, K: int, restarts: int = 10, seed: int = 0) -> Partition:
@@ -217,7 +226,7 @@ def kmeans(points: np.ndarray, K: int, restarts: int = 10, seed: int = 0) -> Par
     """
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    labels, _, _ = _kmeans_runs(points, K, restarts, seed)
+    labels, _, _, _ = _kmeans_runs(points, K, restarts, seed)
     return Partition(labels + 1, K)
 
 
@@ -227,7 +236,16 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
     The eigengap rule maximizes |lambda_k| - |lambda_{k+1}| of the
     regularized Laplacian spectrum over k in [2, K_max] with
     K_max = min(m // 10, 150), clamped to keep k + 1 eigenpairs
-    available.
+    available; the first of equal gaps wins.
+
+    The leading n = min(EIGENGAP_FIRST_REQUEST, K_max + 1) eigenpairs
+    are computed first, and n is doubled (capped at K_max + 1) until it
+    reaches K_max + 1 or the best gap among them is at least |lambda_n|.
+    Stopping there is exact: eigenvalues come sorted by decreasing
+    magnitude, so every gap not yet computed, |lambda_j| - |lambda_{j+1}|
+    with j >= n, is at most |lambda_n|, and on a tie the earlier gap
+    already wins. When the stop never holds, the last solve is the full
+    K_max + 1 one.
     """
     m = adj.m
     if override is not None:
@@ -240,10 +258,15 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
     k_max = min(k_max, m - 2)
     degrees = adj.degrees().astype(np.float64)
     lap, _ = _regularized_laplacian(adj.to_csr(), degrees, "auto")
-    vals, _ = _leading_eigenpairs(lap, k_max + 1)
-    magnitudes = np.abs(vals)
-    gaps = magnitudes[1 : k_max] - magnitudes[2 : k_max + 1]
-    return int(gaps.argmax()) + 2
+    n = min(EIGENGAP_FIRST_REQUEST, k_max + 1)
+    while True:
+        vals, _ = _leading_eigenpairs(lap, n)
+        magnitudes = np.abs(vals)
+        gaps = magnitudes[1 : n - 1] - magnitudes[2:n]
+        best = int(gaps.argmax())
+        if n == k_max + 1 or gaps[best] >= magnitudes[-1]:
+            return best + 2
+        n = min(2 * n, k_max + 1)
 
 
 def _detect_on_weights(weights, degrees, config: SpectralConfig):
@@ -252,7 +275,7 @@ def _detect_on_weights(weights, degrees, config: SpectralConfig):
     if m < config.K:
         raise InvalidInputError("need at least K nodes")
     vecs, vals, tau_value = _embed(weights, degrees, config, config.K)
-    labels0, best_wcss, all_wcss = _kmeans_runs(
+    labels0, best_wcss, all_wcss, all_iterations = _kmeans_runs(
         vecs, config.K, config.restarts, config.seed
     )
     labels = labels0 + 1
@@ -269,6 +292,7 @@ def _detect_on_weights(weights, degrees, config: SpectralConfig):
         "eigenvalues": [float(v) for v in vals],
         "wcss": best_wcss,
         "restart_wcss": all_wcss,
+        "restart_iterations": all_iterations,
         "zero_degree_nodes": int(dangling.sum()),
         "empty_clusters": int((partition.sizes()[1:] == 0).sum()),
         "row_normalize": config.row_normalize,
@@ -291,6 +315,7 @@ def detect_communities_report(adj: SparseAdjacency, config: SpectralConfig):
             "eigenvalues": [],
             "wcss": 0.0,
             "restart_wcss": [],
+            "restart_iterations": [],
             "zero_degree_nodes": adj.m,
             "empty_clusters": config.K - 1,
             "row_normalize": config.row_normalize,

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,11 @@ def write_matrix_bin(path, values: np.ndarray) -> None:
 
 
 def read_matrix_bin(path):
-    """Read a binary matrix written by write_matrix_bin."""
+    """Read a binary matrix written by write_matrix_bin.
+
+    The payload is read once, straight into the returned array, which is
+    column-major like the file. Its size must match the header exactly.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MATRIX_MAGIC:
@@ -94,10 +99,13 @@ def read_matrix_bin(path):
         if shape.size != 2 or shape.min() < 0:
             raise InvalidInputError(f"{path}: corrupt binary matrix header")
         rows, cols = int(shape[0]), int(shape[1])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols:
-        raise InvalidInputError(f"{path}: truncated binary matrix payload")
-    return data.reshape((rows, cols), order="F").copy()
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < 8 * rows * cols:
+            raise InvalidInputError(f"{path}: truncated binary matrix payload")
+        if payload > 8 * rows * cols:
+            raise InvalidInputError(f"{path}: trailing bytes after binary matrix payload")
+        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    return data.reshape((rows, cols), order="F")
 
 
 def read_matrix_auto(path):

@@ -1,9 +1,12 @@
 """Tests for association-score construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from assocnet.assoc import (
     AssocMatrix,
@@ -297,3 +300,62 @@ class TestTypes:
         assoc = fisher_z(corr, 20)
         for mat in (cov.values, corr.values, assoc.z):
             assert np.array_equal(mat, mat.T)
+
+
+def _symmetric_uniform(rng, m, low, high, diagonal):
+    values = rng.uniform(low, high, size=(m, m))
+    values = np.triu(values, 1)
+    values = values + values.T
+    np.fill_diagonal(values, diagonal)
+    return values
+
+
+class TestScoreTransformMemory:
+    """fisher_z and pvalues_to_z work in one new m x m buffer.
+
+    Oracle: the same transforms written as whole-matrix expressions,
+    which allocate a new array at every step.
+    """
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_fisher_z(self):
+        values = _symmetric_uniform(np.random.default_rng(8), 400, -1.0, 1.0, 1.0)
+        values[0, 1] = values[1, 0] = 1.0  # clamped to R_MAX
+        before = values.copy()
+        corr = SymmetricMatrix(values, "correlation")
+        assoc, peak = self.traced_peak(fisher_z, corr, 60)
+        z = np.sqrt(57.0) * np.arctanh(np.clip(before, -R_MAX, R_MAX))
+        z = (z + z.T) / 2.0
+        np.fill_diagonal(z, 0.0)
+        assert np.array_equal(assoc.z, z)
+        assert np.array_equal(values, before)
+        assert peak < 2.2 * values.nbytes
+
+    def test_pvalues_to_z(self):
+        values = _symmetric_uniform(np.random.default_rng(9), 400, 0.0, 1.0, 1.0)
+        values[0, 1] = values[1, 0] = 0.0  # clamped to P_MIN
+        before = values.copy()
+        assoc, peak = self.traced_peak(pvalues_to_z, SymmetricMatrix(values, "pvalue"))
+        z = -ndtri(np.clip(before, P_MIN, 1.0 - P_MIN))
+        z = (z + z.T) / 2.0
+        np.fill_diagonal(z, 0.0)
+        assert np.array_equal(assoc.z, z)
+        assert np.array_equal(values, before)
+        assert peak < 2.2 * values.nbytes
+
+    def test_column_major_input_gives_row_major_scores(self):
+        values = _symmetric_uniform(np.random.default_rng(10), 50, -0.9, 0.9, 1.0)
+        by_rows = fisher_z(SymmetricMatrix(values, "correlation"), 60).z
+        by_cols = fisher_z(SymmetricMatrix(np.asfortranarray(values), "correlation"), 60).z
+        assert by_cols.flags.c_contiguous
+        assert np.array_equal(by_rows, by_cols)

@@ -13,9 +13,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigsh as scipy_eigsh
 from scipy.special import ndtr
 
-from assocnet import __version__
+from assocnet import __version__, community
 from assocnet.assoc import SymmetricMatrix, fisher_z, pvalues_to_z
 from assocnet.cli import main
 from assocnet.ebayes import detection_threshold, infer_adjacency
@@ -264,6 +266,29 @@ class TestCommunities:
         part = read_partition_tsv(out / "partition.tsv")
         assert part.K == blocks
         assert nmi(part, Partition(labels, blocks)) == pytest.approx(1.0)
+
+    def test_auto_k_solver_failure_exits_4(self, tmp_path, monkeypatch):
+        # 30 planted blocks of 20: the eigengap search needs a second,
+        # larger eigensolve, and that one fails to converge.
+        rng = np.random.default_rng(46)
+        labels = np.repeat(np.arange(30), 20)
+        prob = np.where(labels[:, None] == labels[None, :], 0.9, 0.005)
+        dense = np.triu((rng.random((600, 600)) < prob).astype(np.int64), 1)
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, SparseAdjacency.from_dense(dense + dense.T))
+        asked = []
+
+        def eigsh(lap, k, **kwargs):
+            asked.append(k)
+            if k > community.EIGENGAP_FIRST_REQUEST:
+                raise ArpackNoConvergence("no convergence", np.zeros(3), np.zeros((600, 3)))
+            return scipy_eigsh(lap, k=k, **kwargs)
+
+        monkeypatch.setattr(community, "eigsh", eigsh)
+        out = tmp_path / "out"
+        assert main(["communities", str(edges), "--auto-k", "--output-dir", str(out)]) == 4
+        assert asked == [community.EIGENGAP_FIRST_REQUEST, 48]
+        assert not (out / "partition.tsv").exists()
 
     def test_k_larger_than_node_count_is_a_usage_error(self, tmp_path):
         adj, _ = two_cliques(3)

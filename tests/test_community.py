@@ -13,9 +13,11 @@ Independent oracles, defined before any assertions use them:
 import numpy as np
 import pytest
 
+from assocnet import community
 from assocnet.assoc import SymmetricMatrix
 from assocnet.community import (
     DENSE_CUTOFF,
+    EIGENGAP_FIRST_REQUEST,
     SpectralConfig,
     _leading_eigenpairs,
     detect_communities,
@@ -39,6 +41,16 @@ def dense_regularized_laplacian(dense_adj, tau):
     scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.where(reg > 0.0, reg, 1.0)), 0.0)
     lap = scale[:, None] * dense_adj * scale[None, :]
     return (lap + lap.T) / 2.0
+
+
+def eigengap_oracle(adj):
+    """Eigengap K from the full dense spectrum of the regularized Laplacian."""
+    dense = adj.to_dense().astype(np.float64)
+    lap = dense_regularized_laplacian(dense, dense.sum(axis=1).mean())
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(lap)))[::-1]
+    k_max = min(max(2, min(adj.m // 10, 150)), adj.m - 2)
+    gaps = magnitudes[1:k_max] - magnitudes[2 : k_max + 1]
+    return int(gaps.argmax()) + 2
 
 
 def random_graph(rng, m, p):
@@ -234,6 +246,48 @@ class TestSelectNumCommunities:
         assert select_num_communities(SparseAdjacency(1)) == 1
         assert select_num_communities(SparseAdjacency(3)) == 2
 
+    @pytest.fixture()
+    def requests(self, monkeypatch):
+        """The eigenpair counts select_num_communities asks for, in order."""
+        asked = []
+        solve = community._leading_eigenpairs
+
+        def spy(lap, k, *args, **kwargs):
+            asked.append(k)
+            return solve(lap, k, *args, **kwargs)
+
+        monkeypatch.setattr(community, "_leading_eigenpairs", spy)
+        return asked
+
+    # With m = 120, K_max + 1 = 13 eigenpairs are all solved for at once.
+    # With K_max + 1 = 41 or 61 > EIGENGAP_FIRST_REQUEST = 24, the clear
+    # gap at 8 is found by the first solve, the gap at 30 by the doubled
+    # one, and the gap at 60 only by the K_max + 1 solve that the
+    # doubling is capped at.
+    @pytest.mark.parametrize(
+        "blocks, size, p_in, p_out, asked",
+        [
+            (4, 30, 0.5, 0.02, [13]),
+            (8, 50, 0.3, 0.01, [24]),
+            (30, 20, 0.9, 0.005, [24, 48]),
+            (60, 10, 0.9, 0.005, [24, 48, 61]),
+        ],
+    )
+    def test_eigengap_search_matches_the_full_spectrum(
+        self, requests, blocks, size, p_in, p_out, asked
+    ):
+        rng = np.random.default_rng(46)
+        adj, _ = planted_blocks(rng, [size] * blocks, p_in, p_out)
+        k = select_num_communities(adj)
+        assert requests == asked
+        assert k == eigengap_oracle(adj) == blocks
+
+    def test_empty_graph_stops_after_one_solve(self, requests):
+        # Every gap is zero, |lambda_24| too: the first zero gap already
+        # wins any tie with gaps not yet computed.
+        assert select_num_communities(SparseAdjacency(400)) == 2
+        assert requests == [EIGENGAP_FIRST_REQUEST]
+
 
 # --------------------------------------------------------------- detection
 
@@ -288,6 +342,24 @@ class TestDetectCommunities:
         assert np.all(part.labels == 1)
         assert report["empty_clusters"] == 2
         assert report["eigenvalues"] == []
+        assert report["restart_iterations"] == []
+
+    def test_report_records_each_restarts_iterations(self, monkeypatch):
+        counts = []
+        lloyd = community._lloyd
+
+        def spy(points, k, rng, max_iter=300):
+            labels, wcss, iterations = lloyd(points, k, rng, max_iter=max_iter)
+            counts.append(iterations)
+            return labels, wcss, iterations
+
+        monkeypatch.setattr(community, "_lloyd", spy)
+        rng = np.random.default_rng(47)
+        adj, _ = planted_blocks(rng, [20] * 3, 0.5, 0.05)
+        _, report = detect_communities_report(adj, SpectralConfig(K=3, restarts=5))
+        assert report["restart_iterations"] == counts
+        assert len(counts) == 5
+        assert all(isinstance(n, int) and 1 <= n <= 300 for n in counts)
 
     def test_report_structure(self):
         adj, _ = two_cliques(25)
@@ -297,6 +369,7 @@ class TestDetectCommunities:
         assert len(report["eigenvalues"]) == 2
         assert len(report["restart_wcss"]) == 4
         assert report["wcss"] == min(report["restart_wcss"])
+        assert len(report["restart_iterations"]) == 4
         assert report["tau"] == pytest.approx(24.0)  # mean degree of 25-cliques
         assert report["zero_degree_nodes"] == 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,9 +136,32 @@ class TestMatrixBinary:
         path = tmp_path / "m.bin"
         write_matrix_bin(path, AWKWARD)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(InvalidInputError, match="truncated"):
+        for cut in (8, 3):  # a whole value, or part of one
+            path.write_bytes(blob[:-cut])
+            with pytest.raises(InvalidInputError, match="truncated"):
+                read_matrix_bin(path)
+
+    @pytest.mark.parametrize("extra", [b"\0" * 8, b"\0" * 3])
+    def test_rejects_bytes_past_the_payload(self, tmp_path, extra):
+        path = tmp_path / "m.bin"
+        write_matrix_bin(path, AWKWARD)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(InvalidInputError, match="trailing bytes"):
             read_matrix_bin(path)
+
+    def test_reading_holds_the_payload_once(self, tmp_path):
+        path = tmp_path / "m.bin"
+        values = np.random.default_rng(5).standard_normal((700, 500))
+        write_matrix_bin(path, values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = read_matrix_bin(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, values)
+        assert peak < 1.2 * values.nbytes
 
     def test_rejects_corrupt_header(self, tmp_path):
         path = tmp_path / "m.bin"
