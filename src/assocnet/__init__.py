@@ -21,8 +21,6 @@ from .community import (
     SpectralConfig,
     detect_communities,
     detect_communities_report,
-    kmeans,
-    regularized_embedding,
     select_num_communities,
     spectral_on_continuous,
 )
@@ -36,7 +34,6 @@ from .ebayes import (
     laplace_normal_density,
     marginal_loglik,
     posterior_median,
-    threshold_row,
     universal_threshold,
     weight_lower_bound,
 )
@@ -51,7 +48,6 @@ from .graphs import Partition, SparseAdjacency
 from .metrics import (
     ConfusionCounts,
     DensitySummary,
-    degree_histogram,
     edge_confusion,
     edge_density,
     nmi,
@@ -59,9 +55,7 @@ from .metrics import (
 from .simgen import (
     GroundTruth,
     SimConfig,
-    calibrate_alpha_offset,
     expand_grid,
-    expected_density,
     generate_correlations,
     generate_ground_truth,
     generate_network,
@@ -90,18 +84,15 @@ __all__ = [
     "SparseAdjacency",
     "SpectralConfig",
     "SymmetricMatrix",
-    "calibrate_alpha_offset",
     "cooccurrence_pvalues",
     "correlation_from_covariance",
     "covariance_matrix",
-    "degree_histogram",
     "detect_communities",
     "detect_communities_report",
     "detection_threshold",
     "edge_confusion",
     "edge_density",
     "expand_grid",
-    "expected_density",
     "fisher_z",
     "fit_row",
     "fit_rows",
@@ -109,20 +100,17 @@ __all__ = [
     "generate_ground_truth",
     "generate_network",
     "infer_adjacency",
-    "kmeans",
     "laplace_normal_density",
     "marginal_loglik",
     "nmi",
     "plant_communities",
     "posterior_median",
     "pvalues_to_z",
-    "regularized_embedding",
     "run_single",
     "run_study",
     "sample_alpha",
     "select_num_communities",
     "spectral_on_continuous",
-    "threshold_row",
     "universal_threshold",
     "weight_lower_bound",
 ]

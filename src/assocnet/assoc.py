@@ -48,7 +48,7 @@ class SymmetricMatrix:
             raise InvalidInputError("matrix must be symmetric")
         diag = np.diag(values)
         if self.kind == "correlation":
-            if np.any(np.abs(values) > 1.0):
+            if np.any(values > 1.0) or np.any(values < -1.0):
                 raise InvalidInputError("correlations must lie in [-1, 1]")
             if not (np.all(diag == 1.0) or np.all(diag == 0.0)):
                 raise InvalidInputError("correlation diagonal must be all ones or all zeros")

@@ -123,15 +123,6 @@ def _embed(weights, degrees, config: SpectralConfig, k: int):
     return vecs, vals, tau_value
 
 
-def regularized_embedding(adj: SparseAdjacency, config: SpectralConfig) -> np.ndarray:
-    """Spectral embedding of an adjacency into config.K dimensions."""
-    if adj.m < config.K:
-        raise InvalidInputError("need at least K nodes")
-    degrees = adj.degrees().astype(np.float64)
-    vecs, _, _ = _embed(adj.to_csr(), degrees, config, config.K)
-    return vecs
-
-
 def _kmeans_plusplus(points, k, rng):
     """k-means++ seeding; duplicates the first pick when points coincide."""
     m = points.shape[0]
@@ -214,20 +205,6 @@ def _kmeans_runs(points, k, restarts, seed):
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels, best_wcss, all_wcss, all_iterations
-
-
-def kmeans(points: np.ndarray, K: int, restarts: int = 10, seed: int = 0) -> Partition:
-    """Cluster rows of a point matrix into K groups, labels in 1..K.
-
-    Runs Lloyd's algorithm from `restarts` independent k-means++ seeds
-    and keeps the run with the smallest within-cluster sum of squares.
-    Unoccupied labels may remain when points coincide; they are visible
-    in the returned Partition's sizes rather than compacted away.
-    """
-    if restarts < 1:
-        raise ParameterError("restarts must be at least 1")
-    labels, _, _, _ = _kmeans_runs(points, K, restarts, seed)
-    return Partition(labels + 1, K)
 
 
 def select_num_communities(adj: SparseAdjacency, override: int | None = None) -> int:

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from .assoc import AssocMatrix
-from .errors import InvalidInputError, ParameterError
+from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import SparseAdjacency
 
 A_DEFAULT = 0.5
@@ -31,8 +31,8 @@ A_MAX = 4.0
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _A_TOL = 1e-6  # golden-section bracket width at which the search over a stops
-# Steps of the t_i bisection (a bracket of width 8 ends narrower than 1e-17)
-# and the cap on the safeguarded Newton steps of the weight solve.
+# Steps of the detection-threshold bisection (a bracket of width 8 ends
+# narrower than 1e-17) and the cap on the Newton steps of the weight solve.
 _HALVINGS = 60
 _STEP_RTOL = 1e-15  # a Newton step this small relative to w is at rounding level
 _BLOCK_ENTRIES = 1 << 18  # scores per infer_adjacency row block (2 MiB)
@@ -178,24 +178,36 @@ def weight_lower_bound(n: int, a) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def detection_threshold(w: float, a: float) -> float:
-    """Smallest |z| whose posterior median is nonzero at weight w, spread a."""
-    if not 0.0 < w <= 1.0:
+def detection_threshold(w, a):
+    """Smallest |z| whose posterior median is nonzero at weight w, spread a.
+
+    w and a broadcast against each other. Each entry doubles an upper
+    bracket from 2 until the detection margin there is positive, then
+    bisects [0, bracket] a fixed number of times, so every threshold
+    depends on its own (w, a) alone. Entries with w = 1 get exactly 0.0.
+    Returns a float for scalar input and an array otherwise.
+    """
+    w, a = np.broadcast_arrays(
+        np.asarray(w, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    )
+    if not np.all((w > 0.0) & (w <= 1.0)):
         raise ParameterError("weight must lie in (0, 1]")
-    if a <= 0.0:
+    if not np.all(a > 0.0):
         raise ParameterError("spread a must be positive")
-    if w == 1.0:
-        return 0.0
 
-    def margin(t: float) -> float:
-        return float(_log_detection_margin(np.float64(t), w, a))
+    def margin(t):
+        return _log_detection_margin(t, w, a)
 
-    hi = 2.0
-    while margin(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e6:
+    hi = np.full(w.shape, 2.0)
+    while True:
+        short = margin(hi) <= 0.0
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+        if np.any(hi > 1e6):
             raise ParameterError("detection threshold out of range")
-    return float(brentq(margin, 0.0, hi, xtol=1e-9))
+    t = np.where(w == 1.0, 0.0, _bisect(margin, np.zeros(w.shape), hi))
+    return float(t) if t.ndim == 0 else t
 
 
 def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
@@ -230,22 +242,6 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
         hi *= 2.0
     mu = brentq(excess, 0.0, hi, xtol=1e-9)
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
-
-
-def threshold_row(z_row, w: float, a: float, self_index: int | None = None) -> np.ndarray:
-    """Binary keep/kill decisions for one row of scores.
-
-    Entry j is kept when the posterior median of its effect is nonzero,
-    that is when |z_j| exceeds the detection threshold. self_index, when
-    given, marks the row's own diagonal position and is forced to zero.
-    """
-    z_row = np.asarray(z_row, dtype=np.float64)
-    if z_row.ndim != 1:
-        raise InvalidInputError("score row must be a vector")
-    keep = np.abs(z_row) > detection_threshold(w, a)
-    if self_index is not None:
-        keep[self_index] = False
-    return keep
 
 
 def _golden_max(f, lo, hi, tol: float):
@@ -333,9 +329,9 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
     leaves the bracket, or is more than half the step before last, is
     replaced by the bracket midpoint, so no row does worse than bisection.
     A row stops once its step is below _STEP_RTOL relative to w; a row
-    still moving after _HALVINGS steps returns its lo. Every row's steps
-    and stopping point depend on that row alone, so results cannot depend
-    on how rows are batched or chunked across threads.
+    still moving after _HALVINGS steps raises ConvergenceError. Every
+    row's steps and stopping point depend on that row alone, so results
+    cannot depend on how rows are batched or chunked across threads.
     """
     terms = np.empty_like(inv_beta)
 
@@ -367,7 +363,12 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
         step_old, step = step, np.abs(nxt - w)
         w = np.where(live, nxt, w)
         live &= step > _STEP_RTOL * nxt
-    return np.where(live, lo, w)
+    if live.any():
+        raise ConvergenceError(
+            f"weight solve still moving after {_HALVINGS} steps "
+            f"in {int(live.sum())} of {live.size} rows"
+        )
+    return w
 
 
 def fit_rows(z: np.ndarray, estimate_a: bool = False):
@@ -440,7 +441,9 @@ def infer_adjacency(
     median at z_ij is nonzero, and retains the edge only when rows i and
     j both keep it. The conservative edge set is therefore a subset of
     every row-wise edge set. Row i keeps exactly the scores with
-    |z_ij| > t_i, so an edge survives when |z_ij| > max(t_i, t_j).
+    |z_ij| > t_i, t_i = detection_threshold(w_i, a_i), so an edge
+    survives when |z_ij| > max(t_i, t_j); t_i is 0.0 where w_i = 1.
+    A weight solve that does not converge raises ConvergenceError.
 
     Rows are fitted and thresholded in blocks of at most about
     _BLOCK_ENTRIES scores, at least one per thread, which the threads
@@ -472,13 +475,7 @@ def infer_adjacency(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
-        # Every fitted w is at least weight_lower_bound, whose detection
-        # threshold is universal_threshold(m - 1), so that bounds each t_i.
-        t = _bisect(
-            lambda t_vec: _log_detection_margin(t_vec, w, a),
-            np.zeros(m),
-            np.full(m, universal_threshold(m - 1)),
-        )
+        t = detection_threshold(w, a)
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
     adjacency = SparseAdjacency(m, edges)
     fit = MixtureFit(w, a, ll, bool(estimate_a), t)

@@ -260,26 +260,11 @@ def write_mixture_fit_json(path, fit, params: dict) -> None:
         fh.write(canonical_json(payload) + "\n")
 
 
-def read_mixture_fit_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_records_jsonl(path, records: list[dict]) -> None:
     """Write study records one canonical JSON object per line."""
     with _open_write(path) as fh:
         for record in records:
             fh.write(canonical_json(record) + "\n")
-
-
-def read_records_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:

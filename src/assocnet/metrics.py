@@ -1,8 +1,7 @@
 """Metrics comparing inferred structure to ground truth.
 
 Covers normalized mutual information between partitions, confusion
-counts over unordered node pairs, edge-density summaries, and degree
-histograms.
+counts over unordered node pairs, and edge-density summaries.
 """
 
 from __future__ import annotations
@@ -35,14 +34,6 @@ class ConfusionCounts:
         """1 - specificity fp/(fp+tn); 0.0 when every pair is a true edge."""
         denom = self.fp + self.tn
         return self.fp / denom if denom else 0.0
-
-    @property
-    def tpr_defined(self) -> bool:
-        return self.tp + self.fn > 0
-
-    @property
-    def fpr_defined(self) -> bool:
-        return self.fp + self.tn > 0
 
 
 def _entropy(counts: np.ndarray, total: int) -> float:
@@ -133,8 +124,3 @@ def edge_density(adj: SparseAdjacency, partition: Partition | None = None) -> De
     within = within_edges / within_pairs if within_pairs else 0.0
     between = between_edges / between_pairs if between_pairs else 0.0
     return DensitySummary(overall, within, between, within_pairs, between_pairs)
-
-
-def degree_histogram(adj: SparseAdjacency) -> np.ndarray:
-    """counts[d] = number of nodes with degree d; covers 0..max degree."""
-    return np.bincount(adj.degrees(), minlength=1)

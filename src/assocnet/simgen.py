@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .assoc import SymmetricMatrix, fisher_z
@@ -46,10 +45,6 @@ _STREAM_NETWORK = 2
 _STREAM_WISHART = 3
 _STREAM_DETECT = 4
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(240)
-_QUAD_U = 0.5 * (_QUAD_NODES + 1.0)
-_QUAD_W = 0.5 * _QUAD_WEIGHTS
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -66,7 +61,6 @@ class SimConfig:
     pareto_high: float = DEFAULT_PARETO_HIGH
     pareto_exponent: float = DEFAULT_PARETO_EXPONENT
     alpha_offset: float = DEFAULT_ALPHA_OFFSET
-    deterministic_alpha: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -133,16 +127,8 @@ def log_bounded_pareto_ppf(u, low: float, high: float, exponent: float):
 
 
 def sample_alpha(config: SimConfig) -> np.ndarray:
-    """Node propensities: log of bounded-Pareto draws plus the offset.
-
-    With deterministic_alpha the draws are replaced by the evenly spaced
-    quantiles (i + 1/2)/m, giving a fixed-propensity variant of the
-    model (provided for completeness, not benchmarked).
-    """
-    if config.deterministic_alpha:
-        u = (np.arange(config.m) + 0.5) / config.m
-    else:
-        u = _rng(config.seed, _STREAM_ALPHA).random(config.m)
+    """Node propensities: log of bounded-Pareto draws plus the offset."""
+    u = _rng(config.seed, _STREAM_ALPHA).random(config.m)
     return (
         log_bounded_pareto_ppf(
             u, config.pareto_low, config.pareto_high, config.pareto_exponent
@@ -213,7 +199,9 @@ def generate_correlations(
     if nu < 4:
         raise ParameterError("nu must be at least 4")
     m = adj.m
-    dense = adj.to_dense().astype(bool)
+    # Canonical edges are sorted by their first endpoint, so row i's
+    # neighbours j > i are edges[bounds[i]:bounds[i + 1], 1].
+    bounds = np.searchsorted(adj.edges[:, 0], np.arange(m + 1))
     values = np.zeros((m, m))
     for i in range(m - 1):
         rng = _rng(seed, _STREAM_WISHART, i)
@@ -221,7 +209,8 @@ def generate_correlations(
         c1 = np.sqrt(rng.chisquare(nu, width))
         c2 = np.sqrt(rng.chisquare(nu - 1, width))
         noise = rng.standard_normal(width)
-        r = np.where(dense[i, i + 1 :], r_gen, 0.0)
+        r = np.zeros(width)
+        r[adj.edges[bounds[i] : bounds[i + 1], 1] - (i + 1)] = r_gen
         s = np.sqrt(1.0 - r * r)
         y = r * c1 + s * noise
         r_hat = y / np.sqrt(y * y + s * s * c2 * c2)
@@ -238,38 +227,6 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
         alpha, partition, config.theta_in, config.theta_out, config.seed
     )
     return GroundTruth(adjacency, partition, alpha)
-
-
-def expected_density(theta: float, config: SimConfig) -> float:
-    """E[sigmoid(alpha_i + alpha_j + theta)] for an i.i.d. pair, by quadrature."""
-    t = (
-        log_bounded_pareto_ppf(
-            _QUAD_U, config.pareto_low, config.pareto_high, config.pareto_exponent
-        )
-        + config.alpha_offset
-    )
-    pair = t[:, None] + t[None, :] + theta
-    return float(_QUAD_W @ expit(pair) @ _QUAD_W)
-
-
-def calibrate_alpha_offset(
-    config: SimConfig, target_between: float = 0.0013
-) -> float:
-    """Offset making the expected between-community density hit the target.
-
-    Solves expected_density(theta_out) = target_between in the offset by
-    bracketed root-finding; the expectation is strictly increasing in
-    the offset. Returns the offset; the caller decides whether to adopt
-    it.
-    """
-    if not 0.0 < target_between < 1.0:
-        raise ParameterError("target density must lie in (0, 1)")
-
-    def gap(offset: float) -> float:
-        probe = dataclasses.replace(config, alpha_offset=offset)
-        return expected_density(config.theta_out, probe) - target_between
-
-    return float(brentq(gap, -300.0, 100.0, xtol=1e-10))
 
 
 def run_single(config: SimConfig, estimate_a: bool = False, baseline: bool = False):

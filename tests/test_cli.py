@@ -17,7 +17,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.sparse.linalg import eigsh as scipy_eigsh
 from scipy.special import ndtr
 
-from assocnet import __version__, community
+from assocnet import __version__, community, ebayes
 from assocnet.assoc import SymmetricMatrix, fisher_z, pvalues_to_z
 from assocnet.cli import main
 from assocnet.ebayes import detection_threshold, infer_adjacency
@@ -25,9 +25,7 @@ from assocnet.fileio import (
     read_edges_tsv,
     read_matrix_bin,
     read_matrix_csv,
-    read_mixture_fit_json,
     read_partition_tsv,
-    read_records_jsonl,
     write_edges_tsv,
     write_matrix_csv,
     write_partition_tsv,
@@ -70,6 +68,10 @@ def two_cliques(m_half: int):
     return SparseAdjacency.from_dense(dense), Partition(labels, 2)
 
 
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def non_manifest_files(directory):
     return sorted(
         p.name for p in directory.iterdir() if p.name != "manifest.json"
@@ -108,7 +110,7 @@ class TestInfer:
         )
         got = read_edges_tsv(out / "edges.tsv")
         assert np.array_equal(got.to_dense(), expected_adj.to_dense())
-        fit = read_mixture_fit_json(out / "mixture_fit.json")
+        fit = read_json(out / "mixture_fit.json")
         assert fit["estimated_a"] is False
         assert fit["w"] == [float(x) for x in expected_fit.w]
         assert fit["params"]["m"] == 40
@@ -124,16 +126,26 @@ class TestInfer:
         code = main(["infer", str(scores), "--kind", "correlation", "--nu", "100",
                      "--output-dir", str(out)])
         assert code == 0
-        fit = read_mixture_fit_json(out / "mixture_fit.json")
+        fit = read_json(out / "mixture_fit.json")
         t = np.array(fit["threshold"])
         assert t.shape == (40,)
         for w, a, t_i in zip(fit["w"], fit["a"], t):
-            assert t_i == pytest.approx(detection_threshold(w, a), abs=1e-9)
+            assert t_i == detection_threshold(w, a)
         z = fisher_z(SymmetricMatrix(corr_values, "correlation"), 100).z
         edges = read_edges_tsv(out / "edges.tsv").edges
         assert len(edges) > 0
         for i, j in edges:
             assert abs(z[i, j]) > max(t[i], t[j])
+
+    def test_unconverged_weight_solve_exits_4(self, tmp_path, corr_values, monkeypatch):
+        scores = tmp_path / "corr.csv"
+        write_matrix_csv(scores, corr_values)
+        monkeypatch.setattr(ebayes, "_HALVINGS", 2)
+        out = tmp_path / "out"
+        code = main(["infer", str(scores), "--kind", "correlation", "--nu", "100",
+                     "--output-dir", str(out)])
+        assert code == 4
+        assert not (out / "edges.tsv").exists()
 
     def test_pvalue_input_gives_the_same_network(self, tmp_path, corr_values):
         # upper-tail p-values carry the same evidence as the scores they
@@ -408,7 +420,8 @@ class TestStudy:
         expected_records, _ = run_study(
             expand_grid(payload), repetitions=2, seed=5, baseline=True
         )
-        got = read_records_jsonl(out / "records.jsonl")
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        got = [json.loads(line) for line in lines]
         assert got == expected_records
         assert len(got) == 4  # 2 repetitions x 2 methods
         with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
@@ -421,6 +434,12 @@ class TestStudy:
     def test_zero_repetitions_is_a_usage_error(self, tmp_path):
         grid_path, _ = self.write_grid(tmp_path)
         assert main(["study", "--grid", str(grid_path), "--repetitions", "0"]) == 2
+
+    def test_unknown_grid_field_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(SIM, deterministic_alpha=True)), encoding="utf-8")
+        assert main(["study", "--grid", str(path), "--repetitions", "1",
+                     "--output-dir", str(tmp_path / "out")]) == 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
         grid_path, _ = self.write_grid(tmp_path)

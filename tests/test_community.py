@@ -19,11 +19,11 @@ from assocnet.community import (
     DENSE_CUTOFF,
     EIGENGAP_FIRST_REQUEST,
     SpectralConfig,
+    _embed,
+    _kmeans_runs,
     _leading_eigenpairs,
     detect_communities,
     detect_communities_report,
-    kmeans,
-    regularized_embedding,
     select_num_communities,
     spectral_on_continuous,
 )
@@ -134,18 +134,30 @@ class TestLeadingEigenpairs:
 # -------------------------------------------------------------- embedding
 
 
+def embed(adj, config):
+    """The K-dimensional embedding detect_communities clusters."""
+    vecs, _, _ = _embed(adj.to_csr(), adj.degrees().astype(np.float64), config, config.K)
+    return vecs
+
+
+def cluster(points, k, seed=0):
+    """Best-of-10-restarts k-means labels as a Partition with labels 1..k."""
+    labels, _, _, _ = _kmeans_runs(points, k, 10, seed)
+    return Partition(labels + 1, k)
+
+
 class TestRegularizedEmbedding:
     def test_columns_orthonormal_without_row_normalization(self):
         rng = np.random.default_rng(33)
         adj = random_graph(rng, 60, 0.15)
         config = SpectralConfig(K=4, row_normalize=False)
-        vecs = regularized_embedding(adj, config)
+        vecs = embed(adj, config)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), atol=1e-8)
 
     def test_rows_unit_norm_with_row_normalization(self):
         rng = np.random.default_rng(34)
         adj = random_graph(rng, 60, 0.2)
-        vecs = regularized_embedding(adj, SpectralConfig(K=3))
+        vecs = embed(adj, SpectralConfig(K=3))
         norms = np.linalg.norm(vecs, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
@@ -154,13 +166,13 @@ class TestRegularizedEmbedding:
         dense[:39, :39] = 1
         np.fill_diagonal(dense, 0)
         adj = SparseAdjacency.from_dense(dense)
-        vecs = regularized_embedding(adj, SpectralConfig(K=2, tau=0.0))
+        vecs = embed(adj, SpectralConfig(K=2, tau=0.0))
         assert np.all(vecs[39] == 0.0)
         assert np.all(np.isfinite(vecs))
 
     def test_needs_enough_nodes(self):
         with pytest.raises(InvalidInputError):
-            regularized_embedding(SparseAdjacency(3), SpectralConfig(K=4))
+            detect_communities_report(SparseAdjacency(3, [[0, 1]]), SpectralConfig(K=4))
 
 
 # ----------------------------------------------------------------- kmeans
@@ -172,13 +184,13 @@ class TestKmeans:
         points, truth = gaussian_blobs(
             rng, [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)], 40, 0.5
         )
-        part = kmeans(points, 3, seed=0)
+        part = cluster(points, 3, seed=0)
         assert nmi(part, truth) == 1.0
 
     def test_labels_cover_one_to_k(self):
         rng = np.random.default_rng(36)
         points = rng.standard_normal((50, 2))
-        part = kmeans(points, 4, seed=1)
+        part = cluster(points, 4, seed=1)
         assert part.K == 4
         assert part.labels.min() >= 1
         assert part.labels.max() <= 4
@@ -186,23 +198,24 @@ class TestKmeans:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(37)
         points = rng.standard_normal((80, 3))
-        first = kmeans(points, 5, seed=9)
-        second = kmeans(points, 5, seed=9)
-        np.testing.assert_array_equal(first.labels, second.labels)
+        first = _kmeans_runs(points, 5, 10, 9)
+        second = _kmeans_runs(points, 5, 10, 9)
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1:] == second[1:]
 
     def test_single_cluster(self):
         rng = np.random.default_rng(38)
-        part = kmeans(rng.standard_normal((12, 2)), 1)
+        part = cluster(rng.standard_normal((12, 2)), 1)
         assert np.all(part.labels == 1)
 
     def test_k_equals_point_count(self):
         points = np.arange(6, dtype=np.float64)[:, None] * 10.0
-        part = kmeans(points, 6, seed=0)
+        part = cluster(points, 6, seed=0)
         assert sorted(part.labels.tolist()) == [1, 2, 3, 4, 5, 6]
 
     def test_coincident_points_do_not_crash(self):
         points = np.ones((10, 2))
-        part = kmeans(points, 3, seed=0)
+        part = cluster(points, 3, seed=0)
         assert part.m == 10
         occupied = np.flatnonzero(part.sizes()[1:]) + 1
         assert occupied.size == 1
@@ -210,11 +223,11 @@ class TestKmeans:
     def test_rejects_bad_parameters(self):
         points = np.zeros((3, 2))
         with pytest.raises(InvalidInputError):
-            kmeans(points, 4)
+            _kmeans_runs(points, 4, 10, 0)
         with pytest.raises(ParameterError):
-            kmeans(points, 2, restarts=0)
+            _kmeans_runs(points, 0, 10, 0)
         with pytest.raises(InvalidInputError):
-            kmeans(np.zeros(3), 1)
+            _kmeans_runs(np.zeros(3), 1, 10, 0)
 
 
 # -------------------------------------------------------- model selection

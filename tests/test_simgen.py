@@ -4,8 +4,9 @@ Oracles used here:
 
 * the closed-form CDF of the bounded power-law distribution, checked
   against the quantile-function sampler by Kolmogorov-Smirnov;
-* an adaptive double integral (scipy dblquad) for the expected pair
-  density, checked against the module's fixed-rule quadrature;
+* ``expected_density`` — the expected pair density by a 240-node
+  Gauss-Legendre rule, itself checked against an adaptive double
+  integral (scipy dblquad);
 * the exact null law of the sample correlation of a bivariate Wishart
   draw with identity scale: r^2 ~ Beta(1/2, (nu - 1)/2);
 * correlations built directly from the definition of a Wishart matrix
@@ -18,6 +19,7 @@ Oracles used here:
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +36,7 @@ from assocnet.simgen import (
     DEFAULT_PARETO_HIGH,
     DEFAULT_PARETO_LOW,
     SimConfig,
-    calibrate_alpha_offset,
     expand_grid,
-    expected_density,
     generate_correlations,
     generate_ground_truth,
     generate_network,
@@ -75,6 +75,23 @@ def complete_graph(m: int) -> SparseAdjacency:
     dense = np.zeros((m, m), dtype=np.int8)
     dense[np.triu_indices(m, 1)] = 1
     return SparseAdjacency.from_dense(dense + dense.T)
+
+
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(240)
+_QUAD_U = 0.5 * (_QUAD_NODES + 1.0)
+_QUAD_W = 0.5 * _QUAD_WEIGHTS
+
+
+def expected_density(theta: float, config: SimConfig) -> float:
+    """E[sigmoid(alpha_i + alpha_j + theta)] for an i.i.d. pair, by quadrature."""
+    t = (
+        log_bounded_pareto_ppf(
+            _QUAD_U, config.pareto_low, config.pareto_high, config.pareto_exponent
+        )
+        + config.alpha_offset
+    )
+    pair = t[:, None] + t[None, :] + theta
+    return float(_QUAD_W @ expit(pair) @ _QUAD_W)
 
 
 def upper(matrix_values: np.ndarray) -> np.ndarray:
@@ -146,12 +163,6 @@ class TestSampleAlpha:
         hi = np.log(config.pareto_high) + config.alpha_offset
         assert np.all(alpha >= lo - 1e-12)
         assert np.all(alpha <= hi + 1e-12)
-
-    def test_deterministic_variant_ignores_seed(self):
-        a1 = sample_alpha(small_config(deterministic_alpha=True, seed=1))
-        a2 = sample_alpha(small_config(deterministic_alpha=True, seed=99))
-        assert np.array_equal(a1, a2)
-        assert np.all(np.diff(a1) > 0)  # evenly spaced quantiles, increasing
 
 
 class TestPlantCommunities:
@@ -292,19 +303,11 @@ class TestExpectedDensity:
         assert np.all(np.diff(values) > 0)
 
     def test_calibration_hits_the_target_density(self):
+        # the module docstring's claim for the default Pareto shape and offset
         config = small_config()
-        for target in (0.0013, 0.005):
-            offset = calibrate_alpha_offset(config, target)
-            probe = dataclasses.replace(config, alpha_offset=offset)
-            assert expected_density(config.theta_out, probe) == pytest.approx(
-                target, abs=1e-9
-            )
-
-    def test_calibration_rejects_impossible_targets(self):
-        config = small_config()
-        for target in (0.0, 1.0, -0.1, 2.0):
-            with pytest.raises(ParameterError):
-                calibrate_alpha_offset(config, target)
+        for theta, target in [(50.0, 0.81), (30.0, 0.34), (20.0, 0.15), (10.0, 0.039),
+                              (config.theta_out, 0.0013)]:
+            assert expected_density(theta, config) == pytest.approx(target, rel=0.05)
 
 
 class TestGenerateCorrelations:
@@ -352,6 +355,26 @@ class TestGenerateCorrelations:
         assert np.array_equal(corr.values, corr.values.T)
         assert np.all(np.diag(corr.values) == 0.0)
         assert np.all(np.abs(corr.values) <= 1.0)
+
+    def test_edges_come_from_the_edge_list(self):
+        # with r_gen = 1 every edge correlation is exactly 1 and no other is
+        rng = np.random.default_rng(12)
+        dense = np.triu((rng.random((80, 80)) < 0.1).astype(np.int8), 1)
+        adj = SparseAdjacency.from_dense(dense + dense.T)
+        values = generate_correlations(adj, 1.0, 20, 6).values
+        np.testing.assert_array_equal(values == 1.0, (dense + dense.T) == 1)
+
+    def test_peak_memory_is_about_one_matrix(self):
+        config = small_config(m=1000, k=4, community_size=100)
+        adj = generate_ground_truth(config).adjacency
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corr = generate_correlations(adj, config.r_gen, config.nu, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * corr.values.nbytes
 
     def test_draws_are_seeded(self):
         adj = complete_graph(15)
