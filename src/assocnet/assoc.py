@@ -20,6 +20,7 @@ P_MIN = 1e-15
 
 _KINDS = ("covariance", "correlation", "pvalue")
 _ORIGINS = ("fisher", "inverse-normal")
+_TILE = 64  # rows and columns per tile of symmetrize_in_place (32 KiB)
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,25 @@ def correlation_from_covariance(cov: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(corr, "correlation")
 
 
+def symmetrize_in_place(x: np.ndarray, scale: float) -> None:
+    """In place: x = (x + x.T) * scale, one pair of mirror tiles at a time.
+
+    x += x.T would copy all of x.T first, because its operands overlap;
+    here every temporary is tile-sized (the copy for a diagonal tile and
+    numpy's buffers for strided operands). Addition commutes, so (i, j)
+    and (j, i) get the same bytes.
+    """
+    m = x.shape[0]
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            upper = x[i : i + _TILE, j : j + _TILE]
+            lower = x[j : j + _TILE, i : i + _TILE]
+            upper += lower.T
+            upper *= scale
+            if j > i:  # a diagonal tile is already symmetric here
+                lower[...] = upper.T
+
+
 def _symmetrize_zero_diagonal(z: np.ndarray) -> None:
     """In place: z = (z + z.T) / 2 with a zero diagonal.
 
@@ -141,8 +161,7 @@ def _symmetrize_zero_diagonal(z: np.ndarray) -> None:
     (j, i) (vectorized and scalar code paths may round differently), so
     the scores are averaged with their transpose.
     """
-    z += z.T
-    z /= 2.0
+    symmetrize_in_place(z, 0.5)
     np.fill_diagonal(z, 0.0)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .assoc import SymmetricMatrix
+from .assoc import SymmetricMatrix, symmetrize_in_place
 from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import Partition, SparseAdjacency
 
@@ -68,8 +68,10 @@ def _regularized_laplacian(weights, degrees, tau):
         lap = diag @ weights @ diag
         lap = (lap + lap.T) * 0.5
         return lap.tocsr(), tau_value
-    lap = scale[:, None] * weights * scale[None, :]
-    return (lap + lap.T) * 0.5, tau_value
+    lap = np.multiply(scale[:, None], weights, order="C")
+    lap *= scale[None, :]
+    symmetrize_in_place(lap, 0.5)
+    return lap, tau_value
 
 
 def _leading_eigenpairs(lap, k: int, method: str = "auto"):

@@ -29,8 +29,10 @@ A_MIN = 0.05
 A_MAX = 4.0
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_A_TOL = 1e-6  # golden-section bracket width at which the search over a stops
+# A row's search over a stops at its last evaluated a once the next step
+# would move a by at most _A_TOL; _A_STEPS caps its passes after the scan.
+_A_TOL = 1e-8
+_A_STEPS = 60
 # Steps of the detection-threshold bisection (a bracket of width 8 ends
 # narrower than 1e-17) and the cap on the Newton steps of the weight solve.
 _HALVINGS = 60
@@ -72,6 +74,20 @@ class MixtureFit:
             if t.shape != w.shape or np.any(t < 0.0):
                 raise InvalidInputError("thresholds must be nonnegative, one per row")
 
+    def boundary_rows(self) -> dict[str, list[int]]:
+        """Indices of the rows whose fit sits on a boundary.
+
+        w_at_floor: w at weight_lower_bound for rows of m - 1 scores (to a
+        relative 1e-12), as in an m x m score matrix; w_at_one: w == 1;
+        a_at_bound: a <= A_MIN or a >= A_MAX.
+        """
+        floor = weight_lower_bound(self.w.size - 1, self.a)
+        return {
+            "w_at_floor": np.flatnonzero(self.w <= floor * (1 + 1e-12)).tolist(),
+            "w_at_one": np.flatnonzero(self.w == 1.0).tolist(),
+            "a_at_bound": np.flatnonzero((self.a <= A_MIN) | (self.a >= A_MAX)).tolist(),
+        }
+
 
 @dataclass(frozen=True)
 class PosteriorSummary:
@@ -98,17 +114,43 @@ def _log_lower_slab(z, a):
     return np.log(a / 2.0) + 0.5 * a * a + a * z + log_ndtr(-z - a)
 
 
+def _log_slab_tails(z, a):
+    """l_u = -a z + log Phi(z - a) and l_l = a z + log Phi(-z - a).
+
+    The slab density is g = (a/2) exp(a^2/2) (exp(l_u) + exp(l_l)).
+    """
+    return -a * z + log_ndtr(z - a), a * z + log_ndtr(-z - a)
+
+
 def log_laplace_normal_density(z, a):
     """Log density of the Laplace(spread a) + standard normal convolution."""
     a = np.asarray(a, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if np.any(a <= 0.0):
         raise ParameterError("spread a must be positive")
-    return (
-        np.log(a / 2.0)
-        + 0.5 * a * a
-        + np.logaddexp(-a * z + log_ndtr(z - a), a * z + log_ndtr(-z - a))
-    )
+    return np.log(a / 2.0) + 0.5 * a * a + np.logaddexp(*_log_slab_tails(z, a))
+
+
+def _log_slab_and_slope(z, a, l_phi):
+    """log g(z; a) and d log g / da from the same pair of log_ndtr passes.
+
+    d log g / da = 1/a + a + z tanh((l_l - l_u) / 2) - a phi(z) / g, with
+    the tails l_u, l_l of _log_slab_tails and l_phi = log phi(z). The
+    value equals log_laplace_normal_density bit for bit.
+    """
+    l_u, l_l = _log_slab_tails(z, a)
+    l_g = np.logaddexp(l_u, l_l)
+    l_g += np.log(a / 2.0) + 0.5 * a * a
+    slope = np.subtract(l_l, l_u, out=l_l)
+    slope *= 0.5
+    np.tanh(slope, out=slope)
+    slope *= z
+    phi_over_g = np.subtract(l_phi, l_g, out=l_u)
+    np.exp(phi_over_g, out=phi_over_g)
+    phi_over_g *= a
+    slope -= phi_over_g
+    slope += 1.0 / a + a
+    return l_g, slope
 
 
 def laplace_normal_density(z, a):
@@ -178,6 +220,21 @@ def weight_lower_bound(n: int, a) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _weight_floor_slope(n: int, a: np.ndarray) -> np.ndarray:
+    """d weight_lower_bound(n, a) / da.
+
+    The bound is phi(t) / (U0 - L0 + phi(t)) at t = sqrt(2 log n), with U0
+    and L0 the slab mass above and below zero; dU0/da - dL0/da is
+    (1/a + a)(U0 - L0) - t (U0 + L0), the phi(t) terms cancelling.
+    """
+    t = universal_threshold(n)
+    w_lo = weight_lower_bound(n, a)
+    l_phi = _log_norm_pdf(t)
+    upper = np.exp(_log_upper_slab(t, a) - l_phi)
+    lower = np.exp(_log_lower_slab(t, a) - l_phi)
+    return -w_lo * w_lo * ((1.0 / a + a) * (upper - lower) - t * (upper + lower))
+
+
 def detection_threshold(w, a):
     """Smallest |z| whose posterior median is nonzero at weight w, spread a.
 
@@ -242,60 +299,6 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
         hi *= 2.0
     mu = brentq(excess, 0.0, hi, xtol=1e-9)
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
-
-
-def _golden_max(f, lo, hi, tol: float):
-    """Maximize f componentwise over per-row brackets [lo, hi].
-
-    A five-point scan locates the best cell, golden-section iterations
-    shrink it below tol, and the better of the two last golden points is
-    returned unless an exact boundary value beats it. f maps a vector of
-    points (one per row) to a vector of objective values. Ties resolve
-    toward smaller points.
-    """
-    lo = np.array(lo, dtype=np.float64, copy=True)
-    hi = np.array(hi, dtype=np.float64, copy=True)
-    span0 = hi - lo
-    grid = [lo + frac * span0 for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    grid_vals = np.vstack([f(x) for x in grid])
-    best = grid_vals.argmax(axis=0)
-    quarter = span0 / 4.0
-    a = np.where(best == 0, lo, lo + (best - 1) * quarter)
-    b = np.where(best == 4, hi, lo + (best + 1) * quarter)
-
-    h = b - a
-    # Per-row iteration counts keep every row's trajectory identical to a
-    # standalone run on that row alone, so results cannot depend on how
-    # rows are batched or chunked across threads.
-    needed = np.ceil(np.log(tol / np.maximum(h, tol)) / np.log(_INVPHI)).astype(np.int64)
-    x1 = b - _INVPHI * h
-    x2 = a + _INVPHI * h
-    f1 = f(x1)
-    f2 = f(x2)
-    for step in range(int(needed.max(initial=0))):
-        active = needed > step
-        left = f1 >= f2
-        shrink_left = active & left
-        shrink_right = active & ~left
-        b = np.where(shrink_left, x2, b)
-        a = np.where(shrink_right, x1, a)
-        h = b - a
-        fresh = np.where(left, b - _INVPHI * h, a + _INVPHI * h)
-        f_fresh = f(fresh)
-        old_x1, old_f1 = x1, f1
-        x1 = np.where(shrink_left, fresh, np.where(shrink_right, x2, x1))
-        f1 = np.where(shrink_left, f_fresh, np.where(shrink_right, f2, f1))
-        x2 = np.where(shrink_left, old_x1, np.where(shrink_right, fresh, x2))
-        f2 = np.where(shrink_left, old_f1, np.where(shrink_right, f_fresh, f2))
-
-    take_x1 = f1 >= f2
-    x = np.where(take_x1, x1, x2)
-    fx = np.where(take_x1, f1, f2)
-    f_lo, f_hi = grid_vals[0], grid_vals[-1]
-    take_hi = f_hi > fx
-    x = np.where(take_hi, hi, x)
-    fx = np.where(take_hi, f_hi, fx)
-    return np.where(f_lo >= fx, lo, x)
 
 
 def _bisect(f, lo, hi):
@@ -371,6 +374,112 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return w
 
 
+def _weights_and_mixture(l_g, l_phi, lo):
+    """ML weights on [lo, 1] at log slab densities l_g (one row each), and
+    the log mixture densities log((1 - w) phi + w g) at those weights."""
+    inv_beta = np.subtract(l_g, l_phi)  # log(g / phi), turned into 1 / beta in place
+    with np.errstate(over="ignore", divide="ignore"):
+        np.reciprocal(np.expm1(inv_beta, out=inv_beta), out=inv_beta)
+    w = _score_root(inv_beta, lo)
+    del inv_beta  # freed before the loglik pass to lower peak memory
+    with np.errstate(divide="ignore"):
+        lw = np.log(w)[:, None]
+        l1mw = np.log1p(-w)[:, None]
+    l_mix = l1mw + l_phi
+    return w, np.logaddexp(l_mix, lw + l_g, out=l_mix)
+
+
+def _profile_with_slope(z_abs, l_phi, a):
+    """Profile fit at per-row spreads a: (w, loglik, dL/da).
+
+    L(a) is the loglik at a and its ML weight w(a). Where w(a) is interior
+    or pinned at 1, dL/da is the partial derivative in a (envelope
+    theorem): the sum of (w g / mix) d log g / da. Where w(a) sits at
+    weight_lower_bound, the bound's slope times the weight score
+    sum((g - phi) / mix) is added.
+    """
+    n = z_abs.shape[1]
+    l_g, dlog_g = _log_slab_and_slope(z_abs, a[:, None], l_phi)
+    lo = weight_lower_bound(n, a)
+    w, l_mix = _weights_and_mixture(l_g, l_phi, lo)
+    slab_share = np.log(w)[:, None] + l_g
+    slab_share -= l_mix
+    slope = np.einsum("ij,ij->i", np.exp(slab_share, out=slab_share), dlog_g)
+    floor = w == lo
+    if floor.any():
+        l_mix_f = l_mix[floor]
+        score = np.exp(l_g[floor] - l_mix_f) - np.exp(l_phi[floor] - l_mix_f)
+        slope[floor] += score.sum(axis=1) * _weight_floor_slope(n, a[floor])
+    return w, l_mix.sum(axis=1), slope
+
+
+def _fit_spread(z_abs, l_phi):
+    """Per-row (w, a, loglik) at the a in [A_MIN, A_MAX] that maximizes the
+    profile loglik L(a); the search is described in fit_rows."""
+    rows = z_abs.shape[0]
+    r = np.arange(rows)
+    grid = A_MIN + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (A_MAX - A_MIN)
+    w_s, ll_s, d_s = map(np.stack, zip(*(
+        _profile_with_slope(z_abs, l_phi, np.full(rows, g)) for g in grid
+    )))
+    best = ll_s.argmax(axis=0)
+    x, w, ll, d = grid[best], w_s[best, r], ll_s[best, r], d_s[best, r]
+    # Each row's bracket joins its best scan point to the neighbour uphill
+    # of it; a row at a bound whose slope points out of range is done.
+    other = np.clip(best + np.sign(d).astype(np.int64), 0, grid.size - 1)
+    x_prev, d_prev = grid[other], d_s[other, r]
+    lo, hi = np.minimum(x, x_prev), np.maximum(x, x_prev)
+    live = other != best
+    # dL/da is smooth on either side of the a at which w reaches 1, but its
+    # slope jumps there. So each secant pairs the newest point with the
+    # latest earlier one on the same side (w == 1 or w < 1) if there is
+    # one: last_x[side], last_d[side].
+    last_x, last_d = np.full((2, rows), np.nan), np.full((2, rows), np.nan)
+    for a_k, w_k, d_k in ((x_prev, w_s[other, r], d_prev), (x, w, d)):
+        side = (w_k == 1.0).astype(np.int64)
+        last_x[side, r], last_d[side, r] = a_k, d_k
+    step = step_old = hi - lo
+    for passes in range(_A_STEPS + 1):
+        # The secant runs in 1/a: for large scores d log g / da is close to
+        # 1/a - |z|, so dL/da is close to linear in 1/a.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, v_prev = 1.0 / x, 1.0 / x_prev
+            secant = 1.0 / (v - d * (v - v_prev) / (d - d_prev))
+        # NaN fails every comparison and so falls back to the midpoint too.
+        keep = (secant > lo) & (secant < hi) & (np.abs(secant - x) <= 0.5 * step_old)
+        nxt = np.where(keep, secant, 0.5 * (lo + hi))
+        step_old, step = step, np.abs(nxt - x)
+        live &= step > _A_TOL
+        if not live.any():
+            break
+        if passes == _A_STEPS:
+            raise ConvergenceError(
+                f"spread search still moving after {_A_STEPS} steps "
+                f"in {int(live.sum())} of {rows} rows"
+            )
+        idx = np.flatnonzero(live)
+        a_new = nxt[idx]
+        sub = idx if idx.size < rows else slice(None)  # a view while every row is live
+        w_new, ll_new, d_new = _profile_with_slope(z_abs[sub], l_phi[sub], a_new)
+        side = (w_new == 1.0).astype(np.int64)
+        seen = ~np.isnan(last_x[side, idx])
+        x_prev[idx] = np.where(seen, last_x[side, idx], x[idx])
+        d_prev[idx] = np.where(seen, last_d[side, idx], d[idx])
+        last_x[side, idx], last_d[side, idx] = a_new, d_new
+        x[idx], w[idx], ll[idx], d[idx] = a_new, w_new, ll_new, d_new
+        up = d_new > 0.0
+        lo[idx] = np.where(up, a_new, lo[idx])
+        hi[idx] = np.where(up, hi[idx], a_new)
+    # A scan point that beats the search result wins, so the exact bounds
+    # A_MIN and A_MAX are returned whenever they are best.
+    scan_wins = ll_s[best, r] > ll
+    return (
+        np.where(scan_wins, w_s[best, r], w),
+        np.where(scan_wins, grid[best], x),
+        np.where(scan_wins, ll_s[best, r], ll),
+    )
+
+
 def fit_rows(z: np.ndarray, estimate_a: bool = False):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
@@ -379,10 +488,20 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False):
     decreasing score sum(1 / (w + 1 / beta)), beta = g / phi - 1
     (Johnstone & Silverman 2004), found by a safeguarded Newton iteration
     that stops each row once its step is at rounding level. This profile
-    fit gives the best w and its loglik at a given a. With estimate_a
-    false it runs once at A_DEFAULT; with estimate_a true a golden-section
-    search maximizes the profile loglik over a in [A_MIN, A_MAX]. Each
-    row's result depends on that row alone.
+    fit gives the best w and its loglik L(a) at a given a.
+
+    With estimate_a false it runs once at A_DEFAULT. With estimate_a true
+    it maximizes L over a in [A_MIN, A_MAX]. A five-point scan, each of
+    whose passes also returns the analytic dL/da, picks each row's best
+    point and the neighbour on its uphill side. A secant iteration on
+    dL/da in 1/a then runs inside that bracket, falling back to the
+    midpoint when a step leaves the bracket or is more than half the step
+    before last (Johnstone & Silverman's EBayesThresh also fits (w, a)
+    with the analytic gradient). A row stops at its last evaluated a once
+    its next step is at most _A_TOL; a row still moving after _A_STEPS
+    passes raises ConvergenceError. A scan point with a higher loglik
+    than the search result is returned instead, so the exact bounds win
+    when they are best. Each row's result depends on that row alone.
 
     Returns (w, a, loglik) vectors of length R.
     """
@@ -394,31 +513,12 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False):
     rows, n = z.shape
     z_abs = np.abs(z)
     l_phi = _log_norm_pdf(z_abs)
-
-    def profile(a):
-        """ML weights and their logliks at per-row spreads a."""
-        l_g = log_laplace_normal_density(z_abs, a[:, None])
-        inv_beta = np.subtract(l_g, l_phi)  # log(g / phi), turned into 1 / beta in place
-        with np.errstate(over="ignore", divide="ignore"):
-            np.reciprocal(np.expm1(inv_beta, out=inv_beta), out=inv_beta)
-        w = _score_root(inv_beta, weight_lower_bound(n, a))
-        del inv_beta  # freed before the loglik pass to lower peak memory
-        with np.errstate(divide="ignore"):
-            lw = np.log(w)[:, None]
-            l1mw = np.log1p(-w)[:, None]
-        return w, np.logaddexp(l1mw + l_phi, lw + l_g).sum(axis=1)
-
     if estimate_a:
-        a = _golden_max(
-            lambda a_vec: profile(a_vec)[1],
-            np.full(rows, A_MIN),
-            np.full(rows, A_MAX),
-            _A_TOL,
-        )
-    else:
-        a = np.full(rows, A_DEFAULT)
-    w, ll = profile(a)
-    return w, a, ll
+        return _fit_spread(z_abs, l_phi)
+    a = np.full(rows, A_DEFAULT)
+    l_g = log_laplace_normal_density(z_abs, a[:, None])
+    w, l_mix = _weights_and_mixture(l_g, l_phi, weight_lower_bound(n, a))
+    return w, a, l_mix.sum(axis=1)
 
 
 def fit_row(z_row, estimate_a: bool = False):

@@ -147,6 +147,39 @@ class TestInfer:
         assert code == 4
         assert not (out / "edges.tsv").exists()
 
+    def test_fit_lists_its_boundary_rows(self, tmp_path):
+        config = SimConfig(m=60, k=4, community_size=15, theta_in=50.0,
+                           theta_out=1.0, r_gen=0.1, nu=200, seed=3)
+        truth = generate_ground_truth(config)
+        scores = tmp_path / "corr.csv"
+        write_matrix_csv(scores, generate_correlations(truth.adjacency, 0.1, 200, 3).values)
+        out = tmp_path / "out"
+        code = main(["infer", str(scores), "--kind", "correlation", "--nu", "200",
+                     "--estimate-a", "--output-dir", str(out)])
+        assert code == 0
+        fit = read_json(out / "mixture_fit.json")
+        w, a = np.array(fit["w"]), np.array(fit["a"])
+        floor = ebayes.weight_lower_bound(59, a)
+        expected = {
+            "w_at_floor": np.flatnonzero(w <= floor * (1 + 1e-12)).tolist(),
+            "w_at_one": np.flatnonzero(w == 1.0).tolist(),
+            "a_at_bound": np.flatnonzero((a <= ebayes.A_MIN) | (a >= ebayes.A_MAX)).tolist(),
+        }
+        for key, rows in expected.items():
+            assert fit[key] == rows
+            assert rows  # the weak signal puts rows on every boundary
+        assert set(fit["w_at_one"]).isdisjoint(fit["w_at_floor"])
+
+    def test_unconverged_spread_search_exits_4(self, tmp_path, corr_values, monkeypatch):
+        scores = tmp_path / "corr.csv"
+        write_matrix_csv(scores, corr_values)
+        monkeypatch.setattr(ebayes, "_A_STEPS", 2)
+        out = tmp_path / "out"
+        code = main(["infer", str(scores), "--kind", "correlation", "--nu", "100",
+                     "--estimate-a", "--output-dir", str(out)])
+        assert code == 4
+        assert not (out / "edges.tsv").exists()
+
     def test_pvalue_input_gives_the_same_network(self, tmp_path, corr_values):
         # upper-tail p-values carry the same evidence as the scores they
         # were computed from, so the inferred network must match

@@ -10,6 +10,8 @@ Independent oracles, defined before any assertions use them:
   truth with a unique correct answer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,40 @@ class TestRegularizedEmbedding:
     def test_needs_enough_nodes(self):
         with pytest.raises(InvalidInputError):
             detect_communities_report(SparseAdjacency(3, [[0, 1]]), SpectralConfig(K=4))
+
+
+class TestRegularizedLaplacian:
+    """The dense branch scales and symmetrizes one new m x m buffer in place."""
+
+    @staticmethod
+    def symmetric_weights(m, order):
+        weights = np.abs(np.random.default_rng(m).standard_normal((m, m)))
+        weights = np.asarray(weights + weights.T, order=order)
+        np.fill_diagonal(weights, 0.0)
+        return weights
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_branch_matches_oracle_bytes(self, order):
+        weights = self.symmetric_weights(300, order)  # not a multiple of the tile
+        for tau in (0.0, 2.5, "auto"):
+            lap, tau_value = community._regularized_laplacian(
+                weights, weights.sum(axis=1), tau
+            )
+            expected = dense_regularized_laplacian(weights, tau_value)
+            assert lap.flags.c_contiguous and expected.flags.c_contiguous
+            assert lap.tobytes() == expected.tobytes()
+
+    def test_dense_branch_holds_one_new_matrix(self):
+        weights = self.symmetric_weights(400, "C")
+        degrees = weights.sum(axis=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            community._regularized_laplacian(weights, degrees, "auto")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * weights.nbytes
 
 
 # ----------------------------------------------------------------- kmeans

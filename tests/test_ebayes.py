@@ -197,6 +197,17 @@ class TestSlabDensity:
         logs = log_laplace_normal_density(z, 0.5)
         assert np.all(np.diff(logs) < 0.0)
 
+    def test_slope_in_spread_matches_central_difference(self):
+        z = np.linspace(0.0, 40.0, 81)[:, None]
+        a = np.linspace(A_MIN, A_MAX, 40)[None, :]
+        l_g, slope = ebayes._log_slab_and_slope(z, a, -0.5 * z**2 - math.log(SQRT_2PI))
+        np.testing.assert_array_equal(l_g, log_laplace_normal_density(z, a))
+        h = 1e-6
+        central = (
+            log_laplace_normal_density(z, a + h) - log_laplace_normal_density(z, a - h)
+        ) / (2.0 * h)
+        np.testing.assert_allclose(slope, central, rtol=1e-6, atol=1e-6)
+
     def test_rejects_bad_spread(self):
         with pytest.raises(ParameterError):
             laplace_normal_density(1.0, 0.0)
@@ -478,13 +489,18 @@ class TestFitting:
 
     def test_fit_rows_matches_fit_row(self):
         rng = np.random.default_rng(18)
-        z = rng.standard_normal((5, 80)) * 2.0
-        w_all, a_all, ll_all = fit_rows(z)
-        for i in range(5):
-            w_one, a_one, ll_one = fit_row(z[i])
-            assert w_one == w_all[i]
-            assert a_one == a_all[i]
-            assert ll_one == ll_all[i]
+        z = np.vstack([np.zeros(80), mixed_rows(rng, 80), rng.standard_normal((5, 80)) * 2.0])
+        for estimate_a in (False, True):
+            w_all, a_all, ll_all = fit_rows(z, estimate_a=estimate_a)
+            if estimate_a:  # the batch mixes rows at the floor, at w = 1 and at a bound
+                assert w_all[0] == weight_lower_bound(80, a_all[0])
+                assert np.any(w_all == 1.0)
+                assert np.any((a_all == A_MIN) | (a_all == A_MAX))
+            for i in range(z.shape[0]):
+                w_one, a_one, ll_one = fit_row(z[i], estimate_a=estimate_a)
+                assert w_one == w_all[i]
+                assert a_one == a_all[i]
+                assert ll_one == ll_all[i]
 
     def test_single_score_rows_pin_weight_at_one(self):
         w, _, _ = fit_rows(np.array([[3.0], [0.0]]))
@@ -617,6 +633,136 @@ class TestScoreRoot:
             patch.setattr(ebayes, "_HALVINGS", 2)
             with pytest.raises(ConvergenceError):
                 infer_adjacency(_random_assoc(rng, 30, scale=2.5))
+
+
+# ---------------------------------------------------------- spread search
+
+
+def profile_passes(monkeypatch, z):
+    """fit_rows(z, estimate_a=True) and the number of profile passes it made."""
+    passes = []
+    unpatched = ebayes._profile_with_slope
+
+    def counting(z_abs, l_phi, a):
+        passes.append(a.size)
+        return unpatched(z_abs, l_phi, a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ebayes, "_profile_with_slope", counting)
+        fit = fit_rows(z, estimate_a=True)
+    return fit, len(passes)
+
+
+def simulated_rows(m, k, community_size, r_gen, seed):
+    config = SimConfig(m=m, k=k, community_size=community_size, theta_in=50.0,
+                       theta_out=1.0, r_gen=r_gen, nu=200, seed=seed)
+    truth = generate_ground_truth(config)
+    corr = generate_correlations(truth.adjacency, config.r_gen, config.nu, seed)
+    z = fisher_z(corr, config.nu).z
+    return z[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
+class TestSpreadSearch:
+    @pytest.mark.parametrize("case", ["floor", "one", "interior"])
+    def test_profile_slope_matches_finite_difference(self, case):
+        rng = np.random.default_rng(43)
+        row = {
+            "floor": np.zeros(100),
+            "one": rng.standard_normal(100) * 1.6,
+            "interior": sample_mixture_row(100, 0.2, 0.5, rng),
+        }[case]
+        a_value = {"floor": 0.7, "one": 2.6, "interior": 2.6}[case]
+        h = 1e-5
+        a = np.array([a_value - h, a_value, a_value + h])
+        z_abs = np.tile(np.abs(row), (3, 1))
+        w, ll, slope = ebayes._profile_with_slope(z_abs, -0.5 * z_abs**2 - math.log(SQRT_2PI), a)
+        lo = weight_lower_bound(100, a)
+        at = {"floor": w == lo, "one": w == 1.0, "interior": (w > lo) & (w < 1.0)}[case]
+        assert np.all(at)
+        central = (ll[2] - ll[0]) / (2.0 * h)
+        assert slope[1] == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+    def test_weight_floor_slope_matches_finite_difference(self):
+        a = np.linspace(A_MIN, A_MAX, 30)
+        h = 1e-6
+        for n in (2, 99, 1000):
+            central = (weight_lower_bound(n, a + h) - weight_lower_bound(n, a - h)) / (2 * h)
+            np.testing.assert_allclose(
+                ebayes._weight_floor_slope(n, a), central, rtol=1e-6, atol=1e-12
+            )
+
+    def test_fitted_spread_beats_dense_spread_grid(self):
+        rng = np.random.default_rng(44)
+        rows = np.vstack([
+            np.zeros(300),
+            sample_mixture_row(300, 0.15, 0.5, rng),
+            sample_mixture_row(300, 0.3, 2.0, rng),
+            sample_mixture_row(300, 0.05, 0.1, rng),
+            rng.standard_normal(300) * 1.5,
+        ])
+        w_hat, a_hat, ll_hat = fit_rows(rows, estimate_a=True)
+        grid = np.linspace(A_MIN, A_MAX, 2001)
+        for i, row in enumerate(rows):
+            z_abs = np.tile(np.abs(row), (grid.size, 1))
+            l_phi = -0.5 * z_abs**2 - math.log(SQRT_2PI)
+            _, l_mix = ebayes._weights_and_mixture(
+                log_laplace_normal_density(z_abs, grid[:, None]), l_phi,
+                weight_lower_bound(row.size, grid),
+            )
+            assert ll_hat[i] >= l_mix.sum(axis=1).max() - 1e-7
+            assert ll_hat[i] == pytest.approx(marginal_loglik(row, w_hat[i], a_hat[i]), abs=1e-9)
+            assert A_MIN <= a_hat[i] <= A_MAX
+
+    @pytest.mark.parametrize("rows", ["strong", "weak", "inflated null"])
+    def test_at_most_eighteen_profile_passes_per_fit(self, monkeypatch, rows):
+        z = {
+            "strong": lambda: simulated_rows(300, 3, 60, 0.8, 5),
+            # a matrix whose w = 1 rows need the same-side secant pairing
+            "weak": lambda: simulated_rows(200, 4, 50, 0.1, 7),
+            "inflated null": lambda: np.random.default_rng(45).standard_normal((100, 299)) * 1.5,
+        }[rows]()
+        (w, a, _), passes = profile_passes(monkeypatch, z)
+        assert passes <= 18
+        if rows == "strong":  # rows at the floor and at the bound A_MAX
+            assert np.any(w == weight_lower_bound(299, a)) and np.any(a == A_MAX)
+        else:  # most rows fit w = 1
+            assert np.mean(w == 1.0) > 0.5
+
+    def test_result_is_never_worse_than_the_scan(self, monkeypatch):
+        # A profile with many local maxima: the search settles on one in its
+        # bracket, which can lie below the best scan point.
+        phase = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+
+        def profile(a, p):
+            return -((a - 2.0) ** 2) + 0.3 * np.sin(40.0 * a + p)
+
+        def wiggly_profile(z_abs, l_phi, a):
+            p = z_abs[:, 0]
+            slope = -2.0 * (a - 2.0) + 12.0 * np.cos(40.0 * a + p)
+            return np.full(a.shape, 0.5), profile(a, p), slope
+
+        monkeypatch.setattr(ebayes, "_profile_with_slope", wiggly_profile)
+        _, a, ll = fit_rows(np.tile(phase[:, None], (1, 3)), estimate_a=True)
+        grid = A_MIN + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (A_MAX - A_MIN)
+        np.testing.assert_array_equal(ll, profile(a, phase))
+        assert np.all(ll >= profile(grid, phase[:, None]).max(axis=1))
+        assert np.any(np.isin(a, grid)) and not np.all(np.isin(a, grid))
+
+    def test_a_row_still_moving_at_the_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        z = mixed_rows(rng, 300)
+        fit, passes = profile_passes(monkeypatch, z)
+        with monkeypatch.context() as patch:
+            # passes counts the five scan passes; the cap counts the rest
+            patch.setattr(ebayes, "_A_STEPS", passes - 5)
+            for got, expected in zip(fit_rows(z, estimate_a=True), fit):
+                np.testing.assert_array_equal(got, expected)
+            patch.setattr(ebayes, "_A_STEPS", passes - 6)
+            with pytest.raises(ConvergenceError, match="spread search"):
+                fit_rows(z, estimate_a=True)
+            patch.setattr(ebayes, "_A_STEPS", 2)
+            with pytest.raises(ConvergenceError, match="spread search"):
+                infer_adjacency(_random_assoc(rng, 30, scale=2.5), estimate_a=True)
 
 
 # --------------------------------------------------------- full inference
