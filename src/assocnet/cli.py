@@ -72,7 +72,7 @@ def _parse_tau(text: str):
     try:
         value = float(text)
     except ValueError:
-        raise UsageError('--tau must be "auto" or a nonnegative number')
+        raise UsageError('--tau must be "auto" or a finite nonnegative number')
     return value
 
 
@@ -129,8 +129,6 @@ def cmd_infer(args) -> int:
 def cmd_communities(args) -> int:
     start = time.perf_counter()
     adjacency = read_edges_tsv(args.input)
-    if args.K is not None and args.K > adjacency.m:
-        raise UsageError("-K must not exceed the node count")
     k = select_num_communities(adjacency, None if args.auto_k else args.K)
     config = SpectralConfig(
         K=k,

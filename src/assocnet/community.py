@@ -48,9 +48,9 @@ class SpectralConfig:
             raise ParameterError("restarts must be at least 1")
         if isinstance(self.tau, str):
             if self.tau != "auto":
-                raise ParameterError('tau must be "auto" or a nonnegative number')
-        elif self.tau < 0:
-            raise ParameterError("tau must be nonnegative")
+                raise ParameterError('tau must be "auto" or a finite nonnegative number')
+        elif not 0 <= self.tau < np.inf:
+            raise ParameterError("tau must be a finite nonnegative number")
 
 
 def _regularized_laplacian(weights, degrees, tau):

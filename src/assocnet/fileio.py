@@ -7,15 +7,20 @@ and a "# m=" comment carrying the node count; partitions are TSV
 (node-id, community-id) with a "# K=" comment. All text output is
 UTF-8 with LF line endings, and numeric formatting round-trips float64
 exactly.
+
+Each text reader parses with one np.loadtxt call: CSV straight from
+the file, TSV through _read_tsv, which skips blank lines, takes a
+header from any "#" comment (the last one wins) and ignores fields
+past the second.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +53,8 @@ def read_matrix_csv(path):
     """Read a CSV matrix; returns (values, names_or_None).
 
     The first line is a header exactly when any of its fields does not
-    parse as a float.
+    parse as a float. np.loadtxt parses the file from disk, so its text
+    is never held whole in memory.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -60,12 +66,12 @@ def read_matrix_csv(path):
             [float(t) for t in tokens]
         except ValueError:
             names = tokens
-        body = fh.read()
+            if not any(line.strip() for line in fh):
+                raise InvalidInputError(f"{path}: empty matrix body after the header")
     try:
-        if names is None:
-            values = np.loadtxt(io.StringIO(first + body), delimiter=",", ndmin=2)
-        else:
-            values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        values = np.loadtxt(
+            path, delimiter=",", ndmin=2, skiprows=0 if names is None else 1, encoding="utf-8"
+        )
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed matrix CSV ({exc})") from exc
     if names is not None and values.shape[1] != len(names):
@@ -117,6 +123,46 @@ def read_matrix_auto(path):
     return read_matrix_csv(path)
 
 
+def _read_tsv(path, dtype, fields: str):
+    """Read a TSV file once; returns (comments, table, lines).
+
+    comments holds the text of each "#" line, "#" and surrounding
+    whitespace removed. table holds, as dtype, the first two
+    tab-separated fields of every other non-blank line (fields past the
+    second are ignored), and lines[r] is the 1-based file line of row r.
+    A short or unparsable line raises InvalidInputError naming the
+    first such line; fields describes the two expected fields.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        stripped = list(map(str.strip, fh))
+    comments = [s.lstrip("#").strip() for s in stripped if s.startswith("#")]
+    lines = [n for n, s in enumerate(stripped, start=1) if s and s[0] != "#"]
+    if not lines:  # np.loadtxt warns on an empty input
+        return comments, np.empty((0, 2), dtype=dtype), lines
+    rows = [stripped[n - 1] for n in lines]
+    try:
+        table = np.loadtxt(rows, dtype, delimiter="\t", comments=None, usecols=(0, 1), ndmin=2)
+    except ValueError as exc:
+        # loadtxt counts data rows only: from 1 for a row short of a
+        # column, from 0 for a field that does not parse.
+        short = "column index" in str(exc)
+        row = int(re.search(r"at row (\d+)", str(exc))[1]) - short
+        problem = f"expected {fields}" if short else "non-integer field"
+        raise InvalidInputError(f"{path}:{lines[row]}: {problem}") from exc
+    return comments, table, lines
+
+
+def _header_int(path, comments: list[str], key: str) -> int:
+    """The integer after key on the last comment that starts with it."""
+    values = [c[len(key):] for c in comments if c.startswith(key)]
+    if not values:
+        raise InvalidInputError(f"{path}: missing '# {key}' header")
+    try:
+        return int(values[-1])
+    except ValueError:
+        raise InvalidInputError(f"{path}: non-integer '# {key}' header") from None
+
+
 def write_edges_tsv(path, adj: SparseAdjacency) -> None:
     """Write an edge list as TSV with 1-based node ids."""
     with _open_write(path) as fh:
@@ -127,32 +173,11 @@ def write_edges_tsv(path, adj: SparseAdjacency) -> None:
 
 def read_edges_tsv(path) -> SparseAdjacency:
     """Read an edge list written by write_edges_tsv."""
-    m = None
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("m="):
-                    m = int(comment[2:])
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise InvalidInputError(f"{path}:{lineno}: expected two ids")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: non-integer id") from exc
-            if i < 1 or j < 1:
-                raise InvalidInputError(f"{path}:{lineno}: ids are 1-based")
-            pairs.append((i - 1, j - 1))
-    if m is None:
-        raise InvalidInputError(f"{path}: missing '# m=' node-count header")
-    edges = np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), np.int64)
-    return SparseAdjacency(m, edges)
+    comments, ids, lines = _read_tsv(path, np.int64, "two ids")
+    bad = np.flatnonzero((ids < 1).any(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"{path}:{lines[bad[0]]}: ids are 1-based")
+    return SparseAdjacency(_header_int(path, comments, "m="), ids - 1)
 
 
 def write_partition_tsv(path, partition: Partition) -> None:
@@ -165,37 +190,20 @@ def write_partition_tsv(path, partition: Partition) -> None:
 
 def read_partition_tsv(path) -> Partition:
     """Read a partition written by write_partition_tsv."""
-    k = None
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("K="):
-                    k = int(comment[2:])
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise InvalidInputError(f"{path}:{lineno}: expected node and label")
-            try:
-                node, label = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: non-integer field") from exc
-            if node < 1 or node in labels:
-                raise InvalidInputError(f"{path}:{lineno}: bad or duplicate node id")
-            labels[node] = label
-    if k is None:
-        raise InvalidInputError(f"{path}: missing '# K=' header")
-    if not labels:
+    comments, table, lines = _read_tsv(path, np.int64, "node and label")
+    nodes, labels = table.T
+    unique, first = np.unique(nodes, return_index=True)
+    repeat = np.ones(nodes.size, dtype=bool)
+    repeat[first] = False
+    bad = np.flatnonzero((nodes < 1) | repeat)
+    if bad.size:
+        raise InvalidInputError(f"{path}:{lines[bad[0]]}: bad or duplicate node id")
+    k = _header_int(path, comments, "K=")
+    if not nodes.size:
         raise InvalidInputError(f"{path}: no nodes")
-    m = max(labels)
-    if set(labels) != set(range(1, m + 1)):
+    if unique[-1] != nodes.size:
         raise InvalidInputError(f"{path}: node ids must cover 1..m")
-    ordered = np.array([labels[node] for node in range(1, m + 1)], dtype=np.int64)
-    return Partition(ordered, k)
+    return Partition(labels[first], k)
 
 
 def sniff_kind(path) -> str:
@@ -215,26 +223,14 @@ def read_incidence_tsv(path):
     Returns (incidence, entity_ids, item_ids) where incidence has one
     row per item and one column per entity, both in sorted id order.
     """
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise InvalidInputError(f"{path}:{lineno}: expected entity and item")
-            pairs.append((parts[0], parts[1]))
-    if not pairs:
+    _, pairs, _ = _read_tsv(path, str, "entity and item")
+    if not pairs.size:
         raise InvalidInputError(f"{path}: no incidence pairs")
-    entity_ids = sorted({p[0] for p in pairs})
-    item_ids = sorted({p[1] for p in pairs})
-    entity_index = {e: idx for idx, e in enumerate(entity_ids)}
-    item_index = {t: idx for idx, t in enumerate(item_ids)}
-    incidence = np.zeros((len(item_ids), len(entity_ids)), dtype=np.int64)
-    for entity, item in pairs:
-        incidence[item_index[item], entity_index[entity]] = 1
-    return incidence, entity_ids, item_ids
+    entity_ids, cols = np.unique(pairs[:, 0], return_inverse=True)
+    item_ids, rows = np.unique(pairs[:, 1], return_inverse=True)
+    incidence = np.zeros((item_ids.size, entity_ids.size), dtype=np.int64)
+    incidence[rows, cols] = 1
+    return incidence, entity_ids.tolist(), item_ids.tolist()
 
 
 def canonical_json(obj) -> str:

@@ -339,7 +339,10 @@ class TestCommunities:
         adj, _ = two_cliques(3)
         edges = tmp_path / "edges.tsv"
         write_edges_tsv(edges, adj)
-        assert main(["communities", str(edges), "-K", "7"]) == 2
+        out = tmp_path / "out"
+        argv = ["communities", str(edges), "-K", str(adj.m + 1), "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert not (out / "partition.tsv").exists()
 
     def test_k_and_auto_k_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -350,7 +353,11 @@ class TestCommunities:
         adj, _ = two_cliques(3)
         edges = tmp_path / "edges.tsv"
         write_edges_tsv(edges, adj)
-        assert main(["communities", str(edges), "-K", "2", "--tau", "soft"]) == 2
+        out = tmp_path / "out"
+        for tau in ("soft", "nan", "inf"):
+            argv = ["communities", str(edges), "-K", "2", "--tau", tau, "--output-dir", str(out)]
+            assert main(argv) == 2
+            assert not (out / "partition.tsv").exists()
 
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         adj, _ = two_cliques(10)
@@ -535,6 +542,16 @@ class TestEvaluate:
         path = tmp_path / "raw.tsv"
         path.write_text("1\t2\n", encoding="utf-8")
         assert main(["evaluate", str(path), str(path)]) == 3
+
+    def test_non_integer_header_is_a_data_error(self, tmp_path):
+        edges, part = tmp_path / "e.tsv", tmp_path / "p.tsv"
+        edges.write_text("# m=abc\n1\t2\n", encoding="utf-8")
+        part.write_text("# K=x\n1\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["communities", str(edges), "-K", "1", "--output-dir", str(out)]) == 3
+        assert main(["evaluate", str(edges), str(edges), "--output-dir", str(out)]) == 3
+        assert main(["evaluate", str(part), str(part), "--output-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestTopLevel:

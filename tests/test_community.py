@@ -439,6 +439,8 @@ class TestDetectCommunities:
             SpectralConfig(K=2, tau=-1.0)
         with pytest.raises(ParameterError):
             SpectralConfig(K=2, tau="banana")
+        with pytest.raises(ParameterError):
+            SpectralConfig(K=2, tau=float("nan"))
 
     def test_more_communities_than_nodes_rejected(self):
         adj, _ = two_cliques(3)

@@ -19,6 +19,7 @@ from assocnet.ebayes import MixtureFit
 from assocnet.errors import InvalidInputError
 from assocnet.fileio import (
     MATRIX_MAGIC,
+    _read_tsv,
     canonical_json,
     read_edges_tsv,
     read_incidence_tsv,
@@ -104,6 +105,35 @@ class TestMatrixCsv:
         with pytest.raises(InvalidInputError, match="widths differ"):
             read_matrix_csv(path)
 
+    def test_rejects_a_header_without_data(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b\n\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="empty"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("names", [None, ["a", "b", "c", "d"]])
+    def test_values_keep_their_bytes(self, tmp_path, names):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, AWKWARD, names)
+        values, got_names = read_matrix_csv(path)
+        assert got_names == names
+        assert values.dtype == AWKWARD.dtype
+        assert values.tobytes() == AWKWARD.tobytes()  # keeps -0.0 and subnormals
+
+    def test_reading_holds_the_matrix_once(self, tmp_path):
+        path = tmp_path / "m.csv"
+        values = np.random.default_rng(9).uniform(-1.0, 1.0, (1000, 1000))
+        write_matrix_csv(path, values, [f"v{i}" for i in range(1000)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got, _ = read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, values)
+        assert peak < 1.3 * got.nbytes
+
 
 class TestMatrixBinary:
     def test_round_trip_is_exact(self, tmp_path):
@@ -169,6 +199,36 @@ class TestMatrixBinary:
             read_matrix_bin(path)
 
 
+def _loop_reference(path, convert):
+    """The line-by-line parse the TSV readers used to run, as an oracle."""
+    comments, pairs, lines = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line.startswith("#"):
+                comments.append(line.lstrip("#").strip())
+            elif line:
+                parts = line.split("\t")
+                pairs.append([convert(parts[0]), convert(parts[1])])
+                lines.append(lineno)
+    return comments, pairs, lines
+
+
+class TestReadTsv:
+    @pytest.mark.parametrize("dtype, convert", [(np.int64, int), (str, str)])
+    def test_matches_a_line_loop_reference(self, tmp_path, dtype, convert):
+        rng = np.random.default_rng(3)
+        rows = []
+        for i, j in rng.integers(-5, 10**6, size=(2000, 2)):
+            layout = rng.choice(["{}\t{}", " {} \t {}", "{}\t{}\t7", "{}\t{}\tx\ty"])
+            rows.append(layout.format(i, j))
+            rows.append(rng.choice(["", " \t ", "# note", "#  m=12 ", "{}\t{}"]).format(j, i))
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes("\r\n".join(rows).encode("utf-8"))
+        comments, table, lines = _read_tsv(path, dtype, "two ids")
+        assert (comments, table.tolist(), lines) == _loop_reference(path, convert)
+
+
 class TestEdgesTsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -217,6 +277,41 @@ class TestEdgesTsv:
         with pytest.raises(InvalidInputError, match="two ids"):
             read_edges_tsv(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# m=3\n \t \n1\t2\n  \n",  # whitespace-only lines
+            "# m=3\r\n\r\n1\t2\r\n",  # CRLF line ends
+            "# m=3\n1\t2\t0.75\tnote\n",  # fields past the second
+            "# a note\n1\t2\n# m=2\n# m=3\n",  # header on a later comment, last wins
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_edges_tsv(path) == SparseAdjacency(3, np.array([[0, 1]]))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# m=3\n\n# note\n\n1\t2\n3\tx\n", r":6: non-integer"),
+            ("# m=3\n\n1\t2\n  \n# note\n3\n", r":6: expected two ids"),
+            ("# m=3\n# note\n\n2\t0\n", r":4: ids are 1-based"),
+            ("# m=3\n\n1\t2\n1\t2.0\n3\n", r":4: non-integer"),
+        ],
+    )
+    def test_rejection_names_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"edges.tsv{message}"):
+            read_edges_tsv(path)
+
+    def test_rejects_non_integer_node_count(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# m=abc\n1\t2\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="m="):
+            read_edges_tsv(path)
+
 
 class TestPartitionTsv:
     def test_round_trip(self, tmp_path):
@@ -253,6 +348,41 @@ class TestPartitionTsv:
         path = tmp_path / "part.tsv"
         path.write_text("# K=1\n", encoding="utf-8")
         with pytest.raises(InvalidInputError, match="no nodes"):
+            read_partition_tsv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# K=2\n\t \n1\t2\n \n2\t0\n",  # whitespace-only lines
+            "# K=2\r\n1\t2\r\n2\t0\r\n",  # CRLF line ends
+            "# K=2\n1\t2\t0.5\n2\t0\tx\n",  # fields past the second
+            "# note\n2\t0\n# K=1\n1\t2\n# K=2\n",  # header on a later comment, last wins
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "part.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_partition_tsv(path) == Partition(np.array([2, 0]), 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# K=1\n\n1\t1\n# note\n\n1\t0\n", r":6: bad or duplicate"),
+            ("# K=1\n\n  \n0\t1\n", r":4: bad or duplicate"),
+            ("# K=1\n# note\n1\tone\n", r":3: non-integer"),
+            ("# K=1\n1\t1\n\n2\n", r":4: expected node and label"),
+        ],
+    )
+    def test_rejection_names_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "part.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"part.tsv{message}"):
+            read_partition_tsv(path)
+
+    def test_rejects_non_integer_k(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("# K=x\n1\t1\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="K="):
             read_partition_tsv(path)
 
 
@@ -302,6 +432,20 @@ class TestIncidenceTsv:
         path = tmp_path / "inc.tsv"
         path.write_text("lonely\n", encoding="utf-8")
         with pytest.raises(InvalidInputError, match="entity and item"):
+            read_incidence_tsv(path)
+
+    def test_accepts_blank_lines_crlf_and_extra_fields(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_bytes(b"b\ty\t3\r\n \t \r\n\r\na\tx\tnote\r\n")
+        incidence, entities, items = read_incidence_tsv(path)
+        assert entities == ["a", "b"]
+        assert items == ["x", "y"]
+        assert np.array_equal(incidence, [[1, 0], [0, 1]])
+
+    def test_rejection_names_the_file_line(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_text("# note\n\na\tx\n  \nlonely\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="inc.tsv:5: expected entity and item"):
             read_incidence_tsv(path)
 
 
