@@ -12,6 +12,7 @@ for a fixed seed. Exit codes: 0 success, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -128,15 +129,18 @@ def cmd_infer(args) -> int:
 
 def cmd_communities(args) -> int:
     start = time.perf_counter()
-    adjacency = read_edges_tsv(args.input)
-    k = select_num_communities(adjacency, None if args.auto_k else args.K)
+    # Built with a placeholder K so that every setting is checked before
+    # the input is read or any eigensolve runs.
     config = SpectralConfig(
-        K=k,
+        K=1,
         tau=_parse_tau(args.tau),
         restarts=args.restarts,
         seed=args.seed,
         row_normalize=not args.no_row_normalize,
     )
+    adjacency = read_edges_tsv(args.input)
+    k = select_num_communities(adjacency, None if args.auto_k else args.K)
+    config = dataclasses.replace(config, K=k)
     partition, report = detect_communities_report(adjacency, config)
     out = _out_dir(args)
     write_partition_tsv(out / "partition.tsv", partition)

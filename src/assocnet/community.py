@@ -85,9 +85,8 @@ def _leading_eigenpairs(lap, k: int, method: str = "auto"):
     m = lap.shape[0]
     if not 1 <= k <= m:
         raise ParameterError("need 1 <= k <= m eigenpairs")
-    nnz = lap.nnz if sp.issparse(lap) else int(np.count_nonzero(lap))
     if method == "auto":
-        use_dense = m <= DENSE_CUTOFF or k >= m - 1 or nnz == 0
+        use_dense = m <= DENSE_CUTOFF or k >= m - 1
     elif method in ("dense", "sparse"):
         use_dense = method == "dense"
     else:
@@ -190,14 +189,6 @@ def _kmeans_runs(points, k, restarts, seed):
     with one entry per restart; an iteration count of 300 means that
     restart stopped at the cap without converging.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise InvalidInputError("points must be a 2-D array")
-    m = points.shape[0]
-    if m < k:
-        raise InvalidInputError("need at least K points")
-    if k < 1:
-        raise ParameterError("K must be at least 1")
     streams = np.random.SeedSequence(seed).spawn(restarts)
     best_labels, best_wcss, all_wcss, all_iterations = None, np.inf, [], []
     for stream in streams:
@@ -225,13 +216,16 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
     with j >= n, is at most |lambda_n|, and on a tie the earlier gap
     already wins. When the stop never holds, the last solve is the full
     K_max + 1 one.
+
+    A graph with fewer than 4 nodes or with no edge gets K = min(2, m)
+    with no eigensolve.
     """
     m = adj.m
     if override is not None:
         if not 1 <= override <= m:
             raise ParameterError("community count must lie in [1, m]")
         return int(override)
-    if m < 4:
+    if m < 4 or adj.edge_count == 0:
         return min(2, m)
     k_max = max(2, min(m // 10, 150))
     k_max = min(k_max, m - 2)
@@ -249,20 +243,28 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
 
 
 def _detect_on_weights(weights, degrees, config: SpectralConfig):
-    """Shared embed + cluster + zero-degree cleanup; returns (Partition, report)."""
-    m = len(degrees)
-    if m < config.K:
-        raise InvalidInputError("need at least K nodes")
-    vecs, vals, tau_value = _embed(weights, degrees, config, config.K)
-    labels0, best_wcss, all_wcss, all_iterations = _kmeans_runs(
-        vecs, config.K, config.restarts, config.seed
-    )
-    labels = labels0 + 1
+    """Shared embed + cluster + zero-degree cleanup; returns (Partition, report).
 
+    With no nonzero degree there is no signal: every node goes to
+    community 1 and no eigensolve runs, whatever K is.
+    """
+    m = len(degrees)
     dangling = degrees == 0.0
-    if dangling.any():
-        sizes = np.bincount(labels[~dangling], minlength=config.K + 1)
-        labels[dangling] = int(sizes[1:].argmax()) + 1
+    if dangling.all():
+        labels = np.ones(m, dtype=np.int64)
+        vals, best_wcss, all_wcss, all_iterations = [], 0.0, [], []
+        tau_value = 0.0 if config.tau == "auto" else float(config.tau)
+    else:
+        if m < config.K:
+            raise InvalidInputError("need at least K nodes")
+        vecs, vals, tau_value = _embed(weights, degrees, config, config.K)
+        labels0, best_wcss, all_wcss, all_iterations = _kmeans_runs(
+            vecs, config.K, config.restarts, config.seed
+        )
+        labels = labels0 + 1
+        if dangling.any():
+            sizes = np.bincount(labels[~dangling], minlength=config.K + 1)
+            labels[dangling] = int(sizes[1:].argmax()) + 1
 
     partition = Partition(labels, config.K)
     report = {
@@ -284,23 +286,9 @@ def detect_communities_report(adj: SparseAdjacency, config: SpectralConfig):
     """detect_communities plus a run report (eigenvalues, WCSS, restarts).
 
     Zero-degree nodes carry no spectral information; they are assigned
-    to the largest cluster and counted in the report.
+    to the largest cluster and counted in the report. An edgeless graph
+    is one community.
     """
-    if adj.edge_count == 0:
-        partition = Partition(np.ones(adj.m, dtype=np.int64), config.K)
-        report = {
-            "K": config.K,
-            "tau": 0.0 if config.tau == "auto" else float(config.tau),
-            "eigenvalues": [],
-            "wcss": 0.0,
-            "restart_wcss": [],
-            "restart_iterations": [],
-            "zero_degree_nodes": adj.m,
-            "empty_clusters": config.K - 1,
-            "row_normalize": config.row_normalize,
-            "seed": config.seed,
-        }
-        return partition, report
     degrees = adj.degrees().astype(np.float64)
     return _detect_on_weights(adj.to_csr(), degrees, config)
 
@@ -322,7 +310,5 @@ def spectral_on_continuous(corr: SymmetricMatrix, config: SpectralConfig) -> Par
     weights = np.abs(np.asarray(corr.values, dtype=np.float64))
     np.fill_diagonal(weights, 0.0)
     degrees = weights.sum(axis=1)
-    if not degrees.any():
-        return Partition(np.ones(weights.shape[0], dtype=np.int64), config.K)
     partition, _ = _detect_on_weights(weights, degrees, config)
     return partition

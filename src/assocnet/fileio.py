@@ -8,16 +8,17 @@ and a "# m=" comment carrying the node count; partitions are TSV
 UTF-8 with LF line endings, and numeric formatting round-trips float64
 exactly.
 
-Each text reader parses with one np.loadtxt call: CSV straight from
-the file, TSV through _read_tsv, which skips blank lines, takes a
-header from any "#" comment (the last one wins) and ignores fields
-past the second.
+Each text reader parses with one np.loadtxt call and skips blank and
+whitespace-only lines: CSV as its lines stream from the file, TSV
+through _read_tsv, which also takes a header from any "#" comment (the
+last one wins) and ignores fields past the second.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -52,28 +53,28 @@ def write_matrix_csv(path, values: np.ndarray, names: list[str] | None = None) -
 def read_matrix_csv(path):
     """Read a CSV matrix; returns (values, names_or_None).
 
-    The first line is a header exactly when any of its fields does not
-    parse as a float. np.loadtxt parses the file from disk, so its text
-    is never held whole in memory.
+    Blank and whitespace-only lines are skipped. The first other line is
+    a header exactly when any of its fields does not parse as a float.
+    np.loadtxt parses the lines as they stream from the file, so its
+    text is never held whole in memory.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:
             raise InvalidInputError(f"{path}: empty matrix file")
-        tokens = [t.strip() for t in first.strip().split(",")]
+        tokens = [t.strip() for t in first.split(",")]
         names = None
         try:
             [float(t) for t in tokens]
         except ValueError:
-            names = tokens
-            if not any(line.strip() for line in fh):
+            names, first = tokens, next(lines, None)
+            if first is None:
                 raise InvalidInputError(f"{path}: empty matrix body after the header")
-    try:
-        values = np.loadtxt(
-            path, delimiter=",", ndmin=2, skiprows=0 if names is None else 1, encoding="utf-8"
-        )
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: malformed matrix CSV ({exc})") from exc
+        try:
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed matrix CSV ({exc})") from exc
     if names is not None and values.shape[1] != len(names):
         raise InvalidInputError(f"{path}: header and data widths differ")
     return values, names

@@ -254,6 +254,14 @@ class TestInfer:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_blank_matrix_file_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n\n", encoding="utf-8")
+        code = main(["infer", str(path), "--kind", "correlation", "--nu", "50",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "empty matrix file" in capsys.readouterr().err
+
     def test_zero_variance_column_is_named(self, tmp_path, capsys):
         cov = np.eye(4)
         cov[2, 2] = 0.0
@@ -349,15 +357,39 @@ class TestCommunities:
             main(["communities", "x.tsv", "-K", "2", "--auto-k"])
         assert excinfo.value.code == 2
 
-    def test_bad_tau_is_a_usage_error(self, tmp_path):
+    def test_bad_tau_is_a_usage_error(self, tmp_path, monkeypatch):
         adj, _ = two_cliques(3)
         edges = tmp_path / "edges.tsv"
         write_edges_tsv(edges, adj)
         out = tmp_path / "out"
-        for tau in ("soft", "nan", "inf"):
-            argv = ["communities", str(edges), "-K", "2", "--tau", tau, "--output-dir", str(out)]
-            assert main(argv) == 2
-            assert not (out / "partition.tsv").exists()
+        solves = []
+        monkeypatch.setattr(community, "_leading_eigenpairs", lambda *a, **kw: solves.append(a))
+        for count in (["-K", "2"], ["--auto-k"]):
+            for tau in ("soft", "nan", "inf"):
+                argv = ["communities", str(edges), *count, "--tau", tau, "--output-dir", str(out)]
+                assert main(argv) == 2
+        assert solves == []
+        assert not out.exists()
+
+    def test_edgeless_graph_needs_no_eigensolve(self, tmp_path, monkeypatch):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("# m=5000\n", encoding="utf-8")
+        solves = []
+        monkeypatch.setattr(community, "_leading_eigenpairs", lambda *a, **kw: solves.append(a))
+        reports, partitions = [], []
+        for count in (["--auto-k"], ["-K", "2"]):
+            out = tmp_path / count[0].strip("-")
+            assert main(["communities", str(edges), *count, "--output-dir", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            assert report.pop("auto_k") is (count == ["--auto-k"])
+            reports.append(report)
+            partitions.append((out / "partition.tsv").read_bytes())
+        part = read_partition_tsv(tmp_path / "auto-k" / "partition.tsv")
+        assert part.K == 2
+        assert np.all(part.labels == 1)
+        assert reports[0] == reports[1]
+        assert partitions[0] == partitions[1]
+        assert solves == []
 
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         adj, _ = two_cliques(10)

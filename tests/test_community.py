@@ -19,7 +19,6 @@ from assocnet import community
 from assocnet.assoc import SymmetricMatrix
 from assocnet.community import (
     DENSE_CUTOFF,
-    EIGENGAP_FIRST_REQUEST,
     SpectralConfig,
     _embed,
     _kmeans_runs,
@@ -86,6 +85,20 @@ def gaussian_blobs(rng, centers, per_blob, spread):
         points.append(center + spread * rng.standard_normal((per_blob, len(center))))
         labels.extend([idx] * per_blob)
     return np.vstack(points), Partition(labels, len(centers))
+
+
+@pytest.fixture()
+def requests(monkeypatch):
+    """The eigenpair counts asked of _leading_eigenpairs, in order."""
+    asked = []
+    solve = community._leading_eigenpairs
+
+    def spy(lap, k, *args, **kwargs):
+        asked.append(k)
+        return solve(lap, k, *args, **kwargs)
+
+    monkeypatch.setattr(community, "_leading_eigenpairs", spy)
+    return asked
 
 
 # ------------------------------------------------------------ eigensolver
@@ -256,15 +269,6 @@ class TestKmeans:
         occupied = np.flatnonzero(part.sizes()[1:]) + 1
         assert occupied.size == 1
 
-    def test_rejects_bad_parameters(self):
-        points = np.zeros((3, 2))
-        with pytest.raises(InvalidInputError):
-            _kmeans_runs(points, 4, 10, 0)
-        with pytest.raises(ParameterError):
-            _kmeans_runs(points, 0, 10, 0)
-        with pytest.raises(InvalidInputError):
-            _kmeans_runs(np.zeros(3), 1, 10, 0)
-
 
 # -------------------------------------------------------- model selection
 
@@ -295,19 +299,6 @@ class TestSelectNumCommunities:
         assert select_num_communities(SparseAdjacency(1)) == 1
         assert select_num_communities(SparseAdjacency(3)) == 2
 
-    @pytest.fixture()
-    def requests(self, monkeypatch):
-        """The eigenpair counts select_num_communities asks for, in order."""
-        asked = []
-        solve = community._leading_eigenpairs
-
-        def spy(lap, k, *args, **kwargs):
-            asked.append(k)
-            return solve(lap, k, *args, **kwargs)
-
-        monkeypatch.setattr(community, "_leading_eigenpairs", spy)
-        return asked
-
     # With m = 120, K_max + 1 = 13 eigenpairs are all solved for at once.
     # With K_max + 1 = 41 or 61 > EIGENGAP_FIRST_REQUEST = 24, the clear
     # gap at 8 is found by the first solve, the gap at 30 by the doubled
@@ -331,11 +322,9 @@ class TestSelectNumCommunities:
         assert requests == asked
         assert k == eigengap_oracle(adj) == blocks
 
-    def test_empty_graph_stops_after_one_solve(self, requests):
-        # Every gap is zero, |lambda_24| too: the first zero gap already
-        # wins any tie with gaps not yet computed.
-        assert select_num_communities(SparseAdjacency(400)) == 2
-        assert requests == [EIGENGAP_FIRST_REQUEST]
+    def test_empty_graph_needs_no_eigensolve(self, requests):
+        assert select_num_communities(SparseAdjacency(5000)) == 2
+        assert requests == []
 
 
 # --------------------------------------------------------------- detection
@@ -384,7 +373,7 @@ class TestDetectCommunities:
         big_label = part.labels[0]
         assert part.labels[12] == big_label
 
-    def test_empty_graph_collapses_to_one_community(self):
+    def test_empty_graph_collapses_to_one_community(self, requests):
         part, report = detect_communities_report(
             SparseAdjacency(9), SpectralConfig(K=3, seed=0)
         )
@@ -392,6 +381,7 @@ class TestDetectCommunities:
         assert report["empty_clusters"] == 2
         assert report["eigenvalues"] == []
         assert report["restart_iterations"] == []
+        assert requests == []
 
     def test_report_records_each_restarts_iterations(self, monkeypatch):
         counts = []
@@ -479,8 +469,9 @@ class TestSpectralOnContinuous:
         with pytest.raises(InvalidInputError):
             spectral_on_continuous(cov, SpectralConfig(K=2))
 
-    def test_all_zero_matrix_single_community(self):
+    def test_all_zero_matrix_single_community(self, requests):
         values = np.eye(6)
         corr = SymmetricMatrix(values, "correlation")
         part = spectral_on_continuous(corr, SpectralConfig(K=3, seed=0))
         assert np.all(part.labels == 1)
+        assert requests == []

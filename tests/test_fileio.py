@@ -89,9 +89,26 @@ class TestMatrixCsv:
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(InvalidInputError, match="empty"):
-            read_matrix_csv(path)
+        for text in ("", "\n  \n\t\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(InvalidInputError, match="empty matrix file"):
+                read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("1,2\n  \n2,1\n", None),
+            ("\n1,2\n2,1\n", None),
+            ("\n \na,b\n\t\n1,2\n\n2,1\n", ["a", "b"]),
+        ],
+        ids=["whitespace-only-line", "leading-blank-line", "blank-lines-around-header"],
+    )
+    def test_skips_blank_and_whitespace_only_lines(self, tmp_path, text, names):
+        path = tmp_path / "blank.csv"
+        path.write_text(text, encoding="utf-8")
+        values, got_names = read_matrix_csv(path)
+        assert got_names == names
+        assert np.array_equal(values, [[1.0, 2.0], [2.0, 1.0]])
 
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
