@@ -13,7 +13,7 @@ far into the tails (|z| in the hundreds after clamping) remain exact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,7 +480,7 @@ def _fit_spread(z_abs, l_phi):
     )
 
 
-def fit_rows(z: np.ndarray, estimate_a: bool = False):
+def fit_rows(z: np.ndarray, estimate_a: bool = False, *, log_slab=None):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
     The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
@@ -503,6 +503,10 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False):
     than the search result is returned instead, so the exact bounds win
     when they are best. Each row's result depends on that row alone.
 
+    log_slab, valid only with estimate_a false, holds the slab log
+    densities log g(|z|; A_DEFAULT) of z, already computed by the caller;
+    without it they are computed here.
+
     Returns (w, a, loglik) vectors of length R.
     """
     z = np.asarray(z, dtype=np.float64)
@@ -510,13 +514,19 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False):
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
+    if log_slab is not None:
+        if estimate_a:
+            raise ParameterError("precomputed slab densities need the fixed spread")
+        log_slab = np.asarray(log_slab, dtype=np.float64)
+        if log_slab.shape != z.shape:
+            raise InvalidInputError("slab densities must match the score array")
     rows, n = z.shape
-    z_abs = np.abs(z)
-    l_phi = _log_norm_pdf(z_abs)
     if estimate_a:
-        return _fit_spread(z_abs, l_phi)
+        z_abs = np.abs(z)
+        return _fit_spread(z_abs, _log_norm_pdf(z_abs))
     a = np.full(rows, A_DEFAULT)
-    l_g = log_laplace_normal_density(z_abs, a[:, None])
+    l_g = log_laplace_normal_density(np.abs(z), a[:, None]) if log_slab is None else log_slab
+    l_phi = _log_norm_pdf(z)
     w, l_mix = _weights_and_mixture(l_g, l_phi, weight_lower_bound(n, a))
     return w, a, l_mix.sum(axis=1)
 
@@ -547,9 +557,13 @@ def infer_adjacency(
 
     Rows are fitted and thresholded in blocks of at most about
     _BLOCK_ENTRIES scores, at least one per thread, which the threads
-    share; working memory beyond the input is O(threads * block + edges).
-    Each row's fit depends on that row alone, so any thread count gives
-    the same result.
+    share. With the fixed spread each unordered pair's slab density is
+    evaluated once: a block computes its upper strip and hands each later
+    block the tile of its columns, which that block mirrors and drops, so
+    those tiles hold at most about m^2 / 4 densities at a time. Working
+    memory beyond the input is O(threads * block + m^2 / 4 + edges), or
+    without the m^2 / 4 term with estimate_a. Each row's fit depends on
+    that row alone, so any thread count gives the same result.
     """
     if not isinstance(assoc, AssocMatrix):
         raise InvalidInputError("expected an AssocMatrix")
@@ -561,10 +575,45 @@ def infer_adjacency(
     z = assoc.z
     n_blocks = max(threads, -(-m * m // _BLOCK_ENTRIES))
     blocks = np.array_split(np.arange(m), min(m, n_blocks))
+    starts = [int(rows[0]) for rows in blocks] + [m]
+    # Block k's tiles {later block c: densities at block k's rows and block
+    # c's columns}, or the exception that stopped block k before it could
+    # hand them over.
+    handoff = [Future() for _ in blocks]
+    failed = []  # indices of the blocks that raised
 
-    def fit_block(rows):
-        scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
-        return fit_rows(scores.reshape(rows.size, m - 1), estimate_a)
+    def mirrored_slab(k):
+        """Block k's slab log densities, (R, m - 1) with the diagonal out."""
+        first, stop = starts[k], starts[k + 1]
+        strip = log_laplace_normal_density(np.abs(z[first:stop, first:]), A_DEFAULT)
+        handoff[k].set_result({
+            c: strip[:, starts[c] - first : starts[c + 1] - first].copy()
+            for c in range(k + 1, len(blocks))
+        })
+        l_g = np.empty((stop - first, m - 1))
+        # Row r's diagonal is strip column r: the columns right of it move
+        # left by one, those left of it (below the diagonal) stay.
+        l_g[:, first:] = strip[:, 1:]
+        below = np.tril_indices(stop - first, -1)
+        l_g[below[0], first + below[1]] = strip[below]
+        del strip
+        for b in range(k):
+            l_g[:, starts[b] : starts[b + 1]] = handoff[b].result().pop(k).T
+        return l_g
+
+    def fit_block(k):
+        try:
+            if any(j < k for j in failed):
+                raise CancelledError  # a block before this one failed
+            rows = blocks[k]
+            l_g = None if estimate_a else mirrored_slab(k)
+            scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
+            return fit_rows(scores.reshape(rows.size, m - 1), estimate_a, log_slab=l_g)
+        except BaseException as exc:
+            failed.append(k)
+            if not handoff[k].done():
+                handoff[k].set_exception(exc)
+            raise
 
     def block_edges(rows):
         # Columns from the block's first row on, so triu keeps j > i.
@@ -574,7 +623,12 @@ def infer_adjacency(
         return np.argwhere(np.triu(above, k=1)) + first
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
+        # Blocks start in row order and wait only on earlier ones. Every
+        # block runs and sets its hand-off, if only with an error, so no
+        # block is left waiting. Blocks that start after an earlier one
+        # failed stop at once, so the first error in row order is a real one.
+        fits = [pool.submit(fit_block, k) for k in range(len(blocks))]
+        w, a, ll = map(np.concatenate, zip(*(f.result() for f in fits)))
         t = detection_threshold(w, a)
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
     adjacency = SparseAdjacency(m, edges)

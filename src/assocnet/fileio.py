@@ -56,10 +56,19 @@ def read_matrix_csv(path):
     Blank and whitespace-only lines are skipped. The first other line is
     a header exactly when any of its fields does not parse as a float.
     np.loadtxt parses the lines as they stream from the file, so its
-    text is never held whole in memory.
+    text is never held whole in memory. A malformed row is named by its
+    1-based file line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (line for line in fh if not line.isspace())
+        numbers = []  # file line of each line handed on, the header's included
+
+        def content():
+            for number, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    numbers.append(number)
+                    yield line
+
+        lines = content()
         first = next(lines, None)
         if first is None:
             raise InvalidInputError(f"{path}: empty matrix file")
@@ -74,7 +83,14 @@ def read_matrix_csv(path):
         try:
             values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed matrix CSV ({exc})") from exc
+            # loadtxt counts data rows only: from 1 for a row of another
+            # width, from 0 for a field that does not parse.
+            row = re.search(r"at row (\d+)", str(exc))
+            where = ""
+            if row:
+                index = int(row[1]) - ("columns changed" in str(exc)) + (names is not None)
+                where = f":{numbers[index]}"
+            raise InvalidInputError(f"{path}{where}: malformed matrix CSV ({exc})") from exc
     if names is not None and values.shape[1] != len(names):
         raise InvalidInputError(f"{path}: header and data widths differ")
     return values, names

@@ -16,16 +16,19 @@ from .errors import InvalidInputError
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.int64)
+    """A copy of edges in canonical form; input already in it is not sorted again."""
+    edges = np.array(edges, dtype=np.int64, order="C")  # our own copy, not the caller's array
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise InvalidInputError("edge array must have shape (E, 2)")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    out = np.column_stack([lo, hi])
-    order = np.lexsort((out[:, 1], out[:, 0]))
-    return out[order]
+    lo, hi = edges[:, 0], edges[:, 1]
+    d_lo = np.diff(lo)
+    if np.all(lo < hi) and np.all((d_lo > 0) | ((d_lo == 0) & (np.diff(hi) > 0))):
+        return edges
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    order = np.lexsort((hi, lo))
+    return np.column_stack([lo[order], hi[order]])
 
 
 @dataclass(frozen=True)

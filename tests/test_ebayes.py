@@ -11,7 +11,9 @@ Independent oracles, defined before any assertions use them:
   zero, using quadrature only.
 """
 
+import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -502,6 +504,17 @@ class TestFitting:
                 assert a_one == a_all[i]
                 assert ll_one == ll_all[i]
 
+    def test_precomputed_slab_densities_give_the_same_fit(self):
+        rng = np.random.default_rng(23)
+        z = np.vstack([mixed_rows(rng, 60), rng.standard_normal((3, 60)) * 2.0])
+        log_slab = log_laplace_normal_density(np.abs(z), A_DEFAULT)
+        for got, want in zip(fit_rows(z, log_slab=log_slab), fit_rows(z)):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ParameterError):
+            fit_rows(z, estimate_a=True, log_slab=log_slab)
+        with pytest.raises(InvalidInputError):
+            fit_rows(z, log_slab=log_slab[:, 1:])
+
     def test_single_score_rows_pin_weight_at_one(self):
         w, _, _ = fit_rows(np.array([[3.0], [0.0]]))
         np.testing.assert_allclose(w, [1.0, 1.0])
@@ -849,9 +862,9 @@ class TestInferAdjacency:
             block_sizes = []
             fit_rows_unpatched = ebayes.fit_rows
 
-            def counting_fit_rows(z, *args):
+            def counting_fit_rows(z, *args, **kwargs):
                 block_sizes.append(len(z))
-                return fit_rows_unpatched(z, *args)
+                return fit_rows_unpatched(z, *args, **kwargs)
 
             with monkeypatch.context() as patch:
                 patch.setattr(ebayes, "_BLOCK_ENTRIES", assoc.m)
@@ -877,15 +890,102 @@ class TestInferAdjacency:
         np.fill_diagonal(z, 0.0)
         assoc = AssocMatrix(z, "inverse-normal", None)
         del z, signal
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            adj, _ = infer_adjacency(assoc)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert adj.edge_count > 0
-        assert peak < assoc.z.nbytes
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                adj, _ = infer_adjacency(assoc, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert adj.edge_count > 0
+            assert peak < assoc.z.nbytes, threads
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 61])
+    def test_pair_once_fit_is_bit_identical(self, monkeypatch, m):
+        rng = np.random.default_rng(26)
+        assoc = _random_assoc(rng, m, scale=2.5)
+        adj_one, fit_one = infer_adjacency(assoc, threads=1)
+        for i in range(m):
+            # The one-row fit behind fit_row, which needs two scores (m = 2 has one).
+            w, a, ll = fit_rows(np.delete(assoc.z[i], i)[None, :])
+            assert (fit_one.w[i], fit_one.a[i], fit_one.loglik[i]) == (w[0], a[0], ll[0])
+        density = ebayes.log_laplace_normal_density
+        evaluated = []
+
+        def counting_density(z, a):
+            evaluated.append(np.size(z))
+            return density(z, a)
+
+        # Uneven blocks of about three rows, then one-row blocks.
+        for entries in (3 * m + 1, m):
+            with monkeypatch.context() as patch:
+                patch.setattr(ebayes, "_BLOCK_ENTRIES", entries)
+                patch.setattr(ebayes, "log_laplace_normal_density", counting_density)
+                for threads in (1, 2, 3):
+                    evaluated.clear()
+                    adj, fit = infer_adjacency(assoc, threads=threads)
+                    assert adj == adj_one
+                    for field in ("w", "a", "loglik", "threshold"):
+                        np.testing.assert_array_equal(
+                            getattr(fit, field), getattr(fit_one, field)
+                        )
+            if entries == m:  # each row evaluates its pairs to the right, itself included
+                assert sum(evaluated) == m * (m + 1) // 2
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("failing", ["first-density", "last-density", "weight-solve"])
+    def test_a_failing_block_cannot_hang_the_fit(self, monkeypatch, threads, failing):
+        m = 40
+        assoc = _random_assoc(np.random.default_rng(27), m, scale=2.5)
+        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)  # five blocks of eight rows
+        if failing == "weight-solve":
+            calls = itertools.count()
+            score_root = ebayes._score_root
+
+            def failing_score_root(*args):
+                if next(calls) == 2:
+                    raise ConvergenceError("injected")
+                return score_root(*args)
+
+            monkeypatch.setattr(ebayes, "_score_root", failing_score_root)
+            expected = ConvergenceError
+        else:
+            density = ebayes.log_laplace_normal_density
+            second_block_started = threading.Event()
+
+            def failing_density(z, a):
+                # The first block's strip spans every column; the last
+                # block's spans only its own rows' columns.
+                rows, cols = np.shape(z)
+                if failing == "first-density" and cols == m:
+                    if threads > 1:  # fail only once the next block waits on this one
+                        second_block_started.wait(10)
+                    raise RuntimeError("injected")
+                second_block_started.set()
+                if failing == "last-density" and cols == rows:
+                    raise RuntimeError("injected")
+                return density(z, a)
+
+            monkeypatch.setattr(ebayes, "log_laplace_normal_density", failing_density)
+            expected = RuntimeError
+        outcome = []
+
+        def run():
+            try:
+                infer_adjacency(assoc, threads=threads)
+            except Exception as exc:
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+        assert isinstance(outcome[0], expected)
+        if failing == "weight-solve" and threads == 1:
+            assert next(calls) == 3  # the blocks after the failed one fit nothing
 
     def test_thread_count_below_one_rejected(self):
         assoc = _random_assoc(np.random.default_rng(25), 5)

@@ -116,6 +116,21 @@ class TestMatrixCsv:
         with pytest.raises(InvalidInputError, match="malformed"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a,b\n\n1,2\n\n3\n", 5),
+            ("\n1,2\n\n3,4,5\n", 4),
+            ("\na,b\n1,2\n3,x\n", 4),
+        ],
+        ids=["short-row-after-header", "leading-blank-line", "unparsable-field"],
+    )
+    def test_rejection_names_the_file_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"bad.csv:{line}: malformed"):
+            read_matrix_csv(path)
+
     def test_rejects_header_width_mismatch(self, tmp_path):
         path = tmp_path / "width.csv"
         path.write_text("a,b,c\n1.0,2.0\n", encoding="utf-8")
