@@ -67,6 +67,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+class _StageClock:
+    """Wall time of consecutive stages of a command, for manifest.json."""
+
+    def __init__(self) -> None:
+        self.start = self.mark = time.perf_counter()
+        self.stages: dict[str, float] = {}
+
+    def lap(self, stage: str) -> None:
+        """Close the stage that ran since the last lap (or the start)."""
+        now = time.perf_counter()
+        self.stages[f"{stage}_s"] = now - self.mark
+        self.mark = now
+
+    def timings(self) -> dict[str, float]:
+        return {**self.stages, "total_s": time.perf_counter() - self.start}
+
+
 def _parse_tau(text: str):
     if text == "auto":
         return "auto"
@@ -86,7 +103,7 @@ def _load_json(path) -> dict:
 
 
 def cmd_infer(args) -> int:
-    start = time.perf_counter()
+    clock = _StageClock()
     if args.kind == "pvalue":
         if args.nu is not None:
             raise UsageError("--nu does not apply to p-value input")
@@ -95,15 +112,18 @@ def cmd_infer(args) -> int:
             raise UsageError(f"--nu is required for {args.kind} input")
     values, _ = read_matrix_auto(args.input)
     matrix = SymmetricMatrix(values, args.kind)
+    clock.lap("read")
     if args.kind == "covariance":
         matrix = correlation_from_covariance(matrix)
     if args.kind == "pvalue":
         assoc = pvalues_to_z(matrix)
     else:
         assoc = fisher_z(matrix, args.nu)
+    clock.lap("standardize")
     adjacency, fit = infer_adjacency(
         assoc, estimate_a=args.estimate_a, threads=args.threads
     )
+    clock.lap("infer")
     out = _out_dir(args)
     write_edges_tsv(out / "edges.tsv", adjacency)
     params = {
@@ -115,6 +135,7 @@ def cmd_infer(args) -> int:
         "edge_count": adjacency.edge_count,
     }
     write_mixture_fit_json(out / "mixture_fit.json", fit, params)
+    clock.lap("write")
     write_manifest(
         out,
         "infer",
@@ -122,13 +143,13 @@ def cmd_infer(args) -> int:
         {"input": args.input},
         params,
         None,
-        {"total_s": time.perf_counter() - start},
+        clock.timings(),
     )
     return 0
 
 
 def cmd_communities(args) -> int:
-    start = time.perf_counter()
+    clock = _StageClock()
     # Built with a placeholder K so that every setting is checked before
     # the input is read or any eigensolve runs.
     config = SpectralConfig(
@@ -139,14 +160,18 @@ def cmd_communities(args) -> int:
         row_normalize=not args.no_row_normalize,
     )
     adjacency = read_edges_tsv(args.input)
+    clock.lap("read")
     k = select_num_communities(adjacency, None if args.auto_k else args.K)
+    clock.lap("select_k")
     config = dataclasses.replace(config, K=k)
     partition, report = detect_communities_report(adjacency, config)
+    clock.lap("detect")
     out = _out_dir(args)
     write_partition_tsv(out / "partition.tsv", partition)
     report["auto_k"] = bool(args.auto_k)
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_json(report) + "\n")
+    clock.lap("write")
     write_manifest(
         out,
         "communities",
@@ -154,7 +179,7 @@ def cmd_communities(args) -> int:
         {"input": args.input},
         {"K": k, "tau": args.tau, "restarts": args.restarts, "auto_k": args.auto_k},
         args.seed,
-        {"total_s": time.perf_counter() - start},
+        clock.timings(),
     )
     return 0
 

@@ -125,18 +125,27 @@ def _embed(weights, degrees, config: SpectralConfig, k: int):
 
 
 def _kmeans_plusplus(points, k, rng):
-    """k-means++ seeding; duplicates the first pick when points coincide."""
+    """k-means++ seeding; duplicates the first pick when points coincide.
+
+    Each pick updates the running squared distance to the nearest chosen
+    point through one m x d and one m-sized buffer.
+    """
     m = points.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(m)
-    d2 = np.square(points - points[chosen[0]]).sum(axis=1)
+    diff = np.empty_like(points)
+    dist = np.empty(m)
+    d2 = np.full(m, np.inf)
     for idx in range(1, k):
+        np.subtract(points, points[chosen[idx - 1]], out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=dist)
+        np.minimum(d2, dist, out=d2)
         total = d2.sum()
         if total <= 0.0:
             chosen[idx] = chosen[0]
         else:
             chosen[idx] = rng.choice(m, p=d2 / total)
-        d2 = np.minimum(d2, np.square(points - points[chosen[idx]]).sum(axis=1))
     return points[chosen].copy()
 
 
@@ -145,26 +154,31 @@ def _lloyd(points, k, rng, max_iter=300):
 
     Ties in the assignment step go to the lowest-index centroid. An
     empty cluster is re-seeded at the point farthest from its assigned
-    centroid; when every distance is zero it is left empty.
+    centroid; when every distance is zero it is left empty. Squared
+    distances are |x|^2 - (2x).c + |c|^2 in one m x k buffer. Cluster
+    sums come from one bincount per embedding column, which adds each
+    cell's points in increasing point order, starting from 0.0.
     """
     m = points.shape[0]
     centroids = _kmeans_plusplus(points, k, rng)
     labels = None
-    sq_points = np.square(points).sum(axis=1)
+    sq_points = np.square(points).sum(axis=1)[:, None]
+    twice = 2.0 * points
+    columns = np.ascontiguousarray(points.T)
+    sums = np.empty((k, points.shape[1]))
+    d2 = np.empty((m, k))
     for iteration in range(max_iter):
-        d2 = (
-            sq_points[:, None]
-            - 2.0 * points @ centroids.T
-            + np.square(centroids).sum(axis=1)[None, :]
-        )
+        np.matmul(twice, centroids.T, out=d2)
+        np.subtract(sq_points, d2, out=d2)
+        d2 += np.square(centroids).sum(axis=1)[None, :]
         np.maximum(d2, 0.0, out=d2)
         new_labels = d2.argmin(axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
 
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, points)
+        for j, column in enumerate(columns):
+            sums[:, j] = np.bincount(labels, weights=column, minlength=k)
         counts = np.bincount(labels, minlength=k)
         occupied = counts > 0
         centroids = np.where(

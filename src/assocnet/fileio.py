@@ -11,7 +11,11 @@ exactly.
 Each text reader parses with one np.loadtxt call and skips blank and
 whitespace-only lines: CSV as its lines stream from the file, TSV
 through _read_tsv, which also takes a header from any "#" comment (the
-last one wins) and ignores fields past the second.
+last one wins) and ignores fields past the second. _read_tsv splits the
+text into lines once and keeps no line numbers; an error that names a
+file line counts them again (_file_lines). Edge lists and partitions
+are written by _write_int_pairs, which looks each id up in a table of
+decimal strings and writes blocks of _BLOCK_LINES lines as one string.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .errors import InvalidInputError
 from .graphs import Partition, SparseAdjacency
 
 MATRIX_MAGIC = b"ASNETBIN"
+# Lines joined into one string per write by the integer-pair TSV writers.
+_BLOCK_LINES = 1 << 20
 
 
 def _open_write(path):
@@ -140,23 +146,41 @@ def read_matrix_auto(path):
     return read_matrix_csv(path)
 
 
+def _stripped_lines(path) -> list[str]:
+    r"""Every line of a text file, surrounding whitespace removed.
+
+    The text is split on "\n" only: str.splitlines would also split on
+    "\v", "\f" and "\x1c", which a line may hold.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return list(map(str.strip, fh.read().split("\n")))
+
+
+def _file_lines(path) -> list[int]:
+    """The 1-based file line of each data row that _read_tsv returns.
+
+    It reads the file again, so only an error that names a line pays for it.
+    """
+    stripped = _stripped_lines(path)
+    return [n for n, s in enumerate(stripped, start=1) if s and s[0] != "#"]
+
+
 def _read_tsv(path, dtype, fields: str):
-    """Read a TSV file once; returns (comments, table, lines).
+    """Read a TSV file once; returns (comments, table).
 
     comments holds the text of each "#" line, "#" and surrounding
     whitespace removed. table holds, as dtype, the first two
     tab-separated fields of every other non-blank line (fields past the
-    second are ignored), and lines[r] is the 1-based file line of row r.
+    second are ignored); _file_lines maps its rows to file lines.
     A short or unparsable line raises InvalidInputError naming the
     first such line; fields describes the two expected fields.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        stripped = list(map(str.strip, fh))
-    comments = [s.lstrip("#").strip() for s in stripped if s.startswith("#")]
-    lines = [n for n, s in enumerate(stripped, start=1) if s and s[0] != "#"]
-    if not lines:  # np.loadtxt warns on an empty input
-        return comments, np.empty((0, 2), dtype=dtype), lines
-    rows = [stripped[n - 1] for n in lines]
+    lines = list(filter(None, _stripped_lines(path)))
+    comments = [s.lstrip("#").strip() for s in lines if s[0] == "#"]
+    rows = [s for s in lines if s[0] != "#"]
+    del lines
+    if not rows:  # np.loadtxt warns on an empty input
+        return comments, np.empty((0, 2), dtype=dtype)
     try:
         table = np.loadtxt(rows, dtype, delimiter="\t", comments=None, usecols=(0, 1), ndmin=2)
     except ValueError as exc:
@@ -165,8 +189,8 @@ def _read_tsv(path, dtype, fields: str):
         short = "column index" in str(exc)
         row = int(re.search(r"at row (\d+)", str(exc))[1]) - short
         problem = f"expected {fields}" if short else "non-integer field"
-        raise InvalidInputError(f"{path}:{lines[row]}: {problem}") from exc
-    return comments, table, lines
+        raise InvalidInputError(f"{path}:{_file_lines(path)[row]}: {problem}") from exc
+    return comments, table
 
 
 def _header_int(path, comments: list[str], key: str) -> int:
@@ -180,47 +204,97 @@ def _header_int(path, comments: list[str], key: str) -> int:
         raise InvalidInputError(f"{path}: non-integer '# {key}' header") from None
 
 
+def _repeats(keys: np.ndarray):
+    """Returns (first, repeat) for keys, one key per entry along axis 0.
+
+    first holds the index of each distinct key's first entry, in key
+    order; repeat masks the entries that equal an earlier one.
+    """
+    _, first = np.unique(keys, axis=0, return_index=True)
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[first] = False
+    return first, repeat
+
+
+def _rejected_row(path, problems) -> InvalidInputError | None:
+    """The error for the first (problem, row mask) pair that masks a row.
+
+    It names the file line of that pair's first masked row; None when no
+    mask has a row.
+    """
+    for problem, mask in problems:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            return InvalidInputError(f"{path}:{_file_lines(path)[bad[0]]}: {problem}")
+    return None
+
+
+def _write_int_pairs(path, header: str, pairs: np.ndarray, shift: int = 0) -> None:
+    """Write header, then one "i<TAB>j" line per row of nonnegative pairs + shift.
+
+    Each value is looked up in a table of decimal strings, and each block
+    of _BLOCK_LINES lines is joined and written at once.
+    """
+    digits = np.array(list(map(str, range(int(pairs.max(initial=0)) + shift + 1))), dtype=object)
+    table = digits[:, None] + np.array(["\t", "\n"], dtype=object)
+    with _open_write(path) as fh:
+        fh.write(header)
+        for start in range(0, len(pairs), _BLOCK_LINES):
+            block = pairs[start : start + _BLOCK_LINES] + shift
+            fh.write("".join(table[block, [0, 1]].ravel().tolist()))
+
+
 def write_edges_tsv(path, adj: SparseAdjacency) -> None:
     """Write an edge list as TSV with 1-based node ids."""
-    with _open_write(path) as fh:
-        fh.write(f"# m={adj.m}\n")
-        for i, j in adj.edges:
-            fh.write(f"{i + 1}\t{j + 1}\n")
+    _write_int_pairs(path, f"# m={adj.m}\n", adj.edges, shift=1)
 
 
 def read_edges_tsv(path) -> SparseAdjacency:
-    """Read an edge list written by write_edges_tsv."""
-    comments, ids, lines = _read_tsv(path, np.int64, "two ids")
-    bad = np.flatnonzero((ids < 1).any(axis=1))
-    if bad.size:
-        raise InvalidInputError(f"{path}:{lines[bad[0]]}: ids are 1-based")
-    return SparseAdjacency(_header_int(path, comments, "m="), ids - 1)
+    """Read an edge list written by write_edges_tsv.
+
+    An edge the adjacency rejects is named by its file line: an id below
+    1 or above m, a self loop, or a pair (in either orientation) that an
+    earlier line already holds.
+    """
+    comments, ids = _read_tsv(path, np.int64, "two ids")
+    m = _header_int(path, comments, "m=")
+    try:
+        return SparseAdjacency(m, ids - 1)
+    except InvalidInputError as exc:
+        lo, hi = ids.min(axis=1), ids.max(axis=1)
+        located = _rejected_row(path, [
+            ("ids are 1-based", lo < 1),
+            (f"id above m={m}", hi > m),
+            ("self loop", lo == hi),
+            ("repeated edge", _repeats(np.column_stack((lo, hi)))[1]),
+        ])
+        raise (located or InvalidInputError(f"{path}: {exc}")) from exc
 
 
 def write_partition_tsv(path, partition: Partition) -> None:
     """Write a partition as TSV (1-based node id, community id)."""
-    with _open_write(path) as fh:
-        fh.write(f"# K={partition.K}\n")
-        for node, label in enumerate(partition.labels, start=1):
-            fh.write(f"{node}\t{label}\n")
+    nodes = np.arange(1, partition.m + 1)
+    _write_int_pairs(path, f"# K={partition.K}\n", np.column_stack((nodes, partition.labels)))
 
 
 def read_partition_tsv(path) -> Partition:
     """Read a partition written by write_partition_tsv."""
-    comments, table, lines = _read_tsv(path, np.int64, "node and label")
+    comments, table = _read_tsv(path, np.int64, "node and label")
     nodes, labels = table.T
-    unique, first = np.unique(nodes, return_index=True)
-    repeat = np.ones(nodes.size, dtype=bool)
-    repeat[first] = False
-    bad = np.flatnonzero((nodes < 1) | repeat)
-    if bad.size:
-        raise InvalidInputError(f"{path}:{lines[bad[0]]}: bad or duplicate node id")
+    first, repeat = _repeats(nodes)
+    located = _rejected_row(path, [("bad or duplicate node id", (nodes < 1) | repeat)])
+    if located:
+        raise located
     k = _header_int(path, comments, "K=")
     if not nodes.size:
         raise InvalidInputError(f"{path}: no nodes")
-    if unique[-1] != nodes.size:
+    if nodes.max() != nodes.size:
         raise InvalidInputError(f"{path}: node ids must cover 1..m")
-    return Partition(labels[first], k)
+    try:
+        return Partition(labels[first], k)
+    except InvalidInputError as exc:
+        located = _rejected_row(path, [(f"label outside 0..{k}", (labels < 0) | (labels > k))])
+        raise (located or InvalidInputError(f"{path}: {exc}")) from exc
 
 
 def sniff_kind(path) -> str:
@@ -240,7 +314,7 @@ def read_incidence_tsv(path):
     Returns (incidence, entity_ids, item_ids) where incidence has one
     row per item and one column per entity, both in sorted id order.
     """
-    _, pairs, _ = _read_tsv(path, str, "entity and item")
+    _, pairs = _read_tsv(path, str, "entity and item")
     if not pairs.size:
         raise InvalidInputError(f"{path}: no incidence pairs")
     entity_ids, cols = np.unique(pairs[:, 0], return_inverse=True)

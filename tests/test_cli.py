@@ -286,6 +286,19 @@ class TestInfer:
             assert main(argv) == 0
         assert_same_bytes(dirs[0], dirs[1])
 
+    def test_manifest_times_each_stage(self, tmp_path, corr_values):
+        scores = tmp_path / "corr.csv"
+        write_matrix_csv(scores, corr_values)
+        out = tmp_path / "out"
+        argv = ["infer", str(scores), "--kind", "correlation", "--nu", "100",
+                "--output-dir", str(out)]
+        assert main(argv) == 0
+        timings = read_json(out / "manifest.json")["timings"]
+        stages = ["read_s", "standardize_s", "infer_s", "write_s"]
+        assert sorted(timings) == sorted(stages + ["total_s"])
+        assert all(timings[name] >= 0.0 for name in stages)
+        assert sum(timings[name] for name in stages) <= timings["total_s"]
+
 
 class TestCommunities:
     def test_two_cliques_are_split_exactly(self, tmp_path):
@@ -403,6 +416,26 @@ class TestCommunities:
             ]
             assert main(argv) == 0
         assert_same_bytes(dirs[0], dirs[1])
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        adj, _ = two_cliques(8)
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, adj)
+        out = tmp_path / "out"
+        assert main(["communities", str(edges), "--auto-k", "--output-dir", str(out)]) == 0
+        timings = read_json(out / "manifest.json")["timings"]
+        stages = ["read_s", "select_k_s", "detect_s", "write_s"]
+        assert sorted(timings) == sorted(stages + ["total_s"])
+        assert all(timings[name] >= 0.0 for name in stages)
+        assert sum(timings[name] for name in stages) <= timings["total_s"]
+
+    def test_rejected_edge_is_named_by_its_line(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("# m=3\n1\t2\n\n2\t5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["communities", str(edges), "-K", "2", "--output-dir", str(out)]) == 3
+        assert f"{edges}:4: id above m=3" in capsys.readouterr().err
+        assert not (out / "partition.tsv").exists()
 
 
 class TestSimulate:

@@ -8,6 +8,9 @@ Independent oracles, defined before any assertions use them:
   iterative solver path.
 * well-separated Gaussian blobs / planted blocks — clustering ground
   truth with a unique correct answer.
+* ``reference_lloyd`` / ``reference_kmeans_plusplus`` — the k-means
+  that summed clusters with ``np.add.at`` and allocated fresh arrays on
+  every step, kept verbatim: k-means output must match it bit for bit.
 """
 
 import tracemalloc
@@ -52,6 +55,64 @@ def eigengap_oracle(adj):
     k_max = min(max(2, min(adj.m // 10, 150)), adj.m - 2)
     gaps = magnitudes[1:k_max] - magnitudes[2 : k_max + 1]
     return int(gaps.argmax()) + 2
+
+
+def reference_kmeans_plusplus(points, k, rng):
+    """k-means++ seeding; duplicates the first pick when points coincide."""
+    m = points.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(m)
+    d2 = np.square(points - points[chosen[0]]).sum(axis=1)
+    for idx in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen[idx] = chosen[0]
+        else:
+            chosen[idx] = rng.choice(m, p=d2 / total)
+        d2 = np.minimum(d2, np.square(points - points[chosen[idx]]).sum(axis=1))
+    return points[chosen].copy()
+
+
+def reference_lloyd(points, k, rng, max_iter=300):
+    """One seeded k-means run; returns (labels, wcss, iterations).
+
+    Ties in the assignment step go to the lowest-index centroid. An
+    empty cluster is re-seeded at the point farthest from its assigned
+    centroid; when every distance is zero it is left empty.
+    """
+    m = points.shape[0]
+    centroids = reference_kmeans_plusplus(points, k, rng)
+    labels = None
+    sq_points = np.square(points).sum(axis=1)
+    for iteration in range(max_iter):
+        d2 = (
+            sq_points[:, None]
+            - 2.0 * points @ centroids.T
+            + np.square(centroids).sum(axis=1)[None, :]
+        )
+        np.maximum(d2, 0.0, out=d2)
+        new_labels = d2.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, points)
+        counts = np.bincount(labels, minlength=k)
+        occupied = counts > 0
+        centroids = np.where(
+            occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids
+        )
+        if not occupied.all():
+            assigned_d2 = d2[np.arange(m), labels]
+            farthest = np.argsort(-assigned_d2, kind="stable")
+            cursor = 0
+            for cluster in np.flatnonzero(~occupied):
+                if cursor < m and assigned_d2[farthest[cursor]] > 0.0:
+                    centroids[cluster] = points[farthest[cursor]]
+                    cursor += 1
+    wcss = float(d2[np.arange(m), labels].sum())
+    return labels, wcss, iteration + 1
 
 
 def random_graph(rng, m, p):
@@ -261,6 +322,49 @@ class TestKmeans:
         points = np.arange(6, dtype=np.float64)[:, None] * 10.0
         part = cluster(points, 6, seed=0)
         assert sorted(part.labels.tolist()) == [1, 2, 3, 4, 5, 6]
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, points, k, restarts=10, seed=0):
+        got = _kmeans_runs(points, k, restarts, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(community, "_lloyd", reference_lloyd)
+            expected = _kmeans_runs(points, k, restarts, seed)
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:]  # wcss, restart_wcss, restart_iterations
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 10, 11])
+    def test_matches_the_add_at_reference_bit_for_bit(self, monkeypatch, k):
+        rng = np.random.default_rng(100 + k)
+        points = rng.standard_normal((600, k))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)  # like a row-normalized embedding
+        self.assert_matches_reference(monkeypatch, points, k, seed=k)
+        self.assert_matches_reference(monkeypatch, np.asfortranarray(points), k, seed=k)
+
+    def test_matches_the_reference_when_seeding_runs_out_of_points(self, monkeypatch):
+        # Three distinct points and K = 5: once all three are picked every
+        # distance is zero, so k-means++ takes its duplicate-the-first branch.
+        points = np.repeat([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0]], [7, 3, 5], axis=0)
+        self.assert_matches_reference(monkeypatch, points, 5)
+
+    def test_matches_the_reference_when_a_cluster_empties(self, monkeypatch):
+        points = np.array([[0.0], [-6.0], [-6.0], [-1.0], [-5.0], [-5.0], [-6.0], [3.0]])
+        reseeds = []
+
+        class Numpy:
+            """numpy, with argsort (called only to re-seed an empty cluster) spied on."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, values, **kwargs):
+                reseeds.append(bool((values < 0.0).any()))  # some point is off its centroid
+                return np.argsort(values, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(community, "np", Numpy())
+            _kmeans_runs(points, 3, 6, 0)
+        assert any(reseeds)
+        self.assert_matches_reference(monkeypatch, points, 3, restarts=6)
 
     def test_coincident_points_do_not_crash(self):
         points = np.ones((10, 2))

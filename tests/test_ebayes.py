@@ -939,6 +939,18 @@ class TestInferAdjacency:
         m = 40
         assoc = _random_assoc(np.random.default_rng(27), m, scale=2.5)
         monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)  # five blocks of eight rows
+
+        class PatientFuture(ebayes.Future):
+            """A hand-off whose wait ends in TimeoutError after 60 s.
+
+            A block stranded on a hand-off that is never set then ends, so
+            the pool's exit join returns and the test run can finish.
+            """
+
+            def result(self, timeout=60):
+                return super().result(timeout)
+
+        monkeypatch.setattr(ebayes, "Future", PatientFuture)
         if failing == "weight-solve":
             calls = itertools.count()
             score_root = ebayes._score_root

@@ -15,10 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from assocnet import fileio
 from assocnet.ebayes import MixtureFit
 from assocnet.errors import InvalidInputError
 from assocnet.fileio import (
     MATRIX_MAGIC,
+    _file_lines,
     _read_tsv,
     canonical_json,
     read_edges_tsv,
@@ -257,8 +259,46 @@ class TestReadTsv:
             rows.append(rng.choice(["", " \t ", "# note", "#  m=12 ", "{}\t{}"]).format(j, i))
         path = tmp_path / "pairs.tsv"
         path.write_bytes("\r\n".join(rows).encode("utf-8"))
-        comments, table, lines = _read_tsv(path, dtype, "two ids")
+        comments, table = _read_tsv(path, dtype, "two ids")
+        lines = _file_lines(path)
         assert (comments, table.tolist(), lines) == _loop_reference(path, convert)
+
+
+def _loop_written(header, pairs):
+    """The bytes the TSV writers used to write, one f-string per line."""
+    return (header + "".join(f"{i}\t{j}\n" for i, j in pairs)).encode("utf-8")
+
+
+class TestWriteTsv:
+    # 0-based ids 8/9 and 98/99 print as 9/10 and 99/100.
+    BOUNDARY_EDGES = np.array([[0, 8], [0, 9], [8, 9], [9, 98], [9, 99], [98, 99], [99, 100]])
+
+    @pytest.mark.parametrize("block_lines", [1 << 20, 7])
+    def test_edges_match_a_line_loop_reference(self, tmp_path, monkeypatch, block_lines):
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+        dense = np.random.default_rng(4).random((1000, 1000)) < 0.003
+        graphs = [
+            SparseAdjacency(4),
+            SparseAdjacency(101, self.BOUNDARY_EDGES),
+            SparseAdjacency(1000, np.argwhere(np.triu(dense, k=1))),
+        ]
+        path = tmp_path / "edges.tsv"
+        for adj in graphs:
+            write_edges_tsv(path, adj)
+            assert path.read_bytes() == _loop_written(f"# m={adj.m}\n", adj.edges + 1)
+
+    @pytest.mark.parametrize("block_lines", [1 << 20, 7])
+    def test_partition_matches_a_line_loop_reference(self, tmp_path, monkeypatch, block_lines):
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 101, size=150)
+        labels[[8, 9, 98, 99]] = [9, 10, 99, 100]
+        path = tmp_path / "part.tsv"
+        for part in (Partition(np.array([1]), 1), Partition(labels, 100)):
+            write_partition_tsv(path, part)
+            nodes = np.arange(1, part.m + 1)
+            expected = _loop_written(f"# K={part.K}\n", zip(nodes, part.labels))
+            assert path.read_bytes() == expected
 
 
 class TestEdgesTsv:
@@ -338,6 +378,28 @@ class TestEdgesTsv:
         with pytest.raises(InvalidInputError, match=f"edges.tsv{message}"):
             read_edges_tsv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# m=3\n1\t2\n\n2\t5\n", r":4: id above m=3"),
+            ("# m=3\n1\t2\n# note\n3\t3\n2\t2\n", r":4: self loop"),
+            ("# m=4\n1\t2\n3\t4\n\n1\t2\n", r":5: repeated edge"),
+            ("# m=4\n1\t2\n3\t4\n4\t3\n", r":4: repeated edge"),
+        ],
+        ids=["id-above-m", "self-loop", "repeated-pair", "repeated-reversed-pair"],
+    )
+    def test_rejected_edge_names_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"edges.tsv{message}"):
+            read_edges_tsv(path)
+
+    def test_rejected_node_count_names_the_file(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# m=0\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="edges.tsv: adjacency needs"):
+            read_edges_tsv(path)
+
     def test_rejects_non_integer_node_count(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text("# m=abc\n1\t2\n", encoding="utf-8")
@@ -406,6 +468,20 @@ class TestPartitionTsv:
         ],
     )
     def test_rejection_names_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "part.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"part.tsv{message}"):
+            read_partition_tsv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# K=2\n1\t1\n\n2\t3\n3\t0\n", r":4: label outside 0..2"),
+            ("# K=2\n# note\n1\t-1\n2\t1\n", r":3: label outside 0..2"),
+        ],
+        ids=["above-k", "negative"],
+    )
+    def test_rejected_label_names_the_file_line(self, tmp_path, text, message):
         path = tmp_path / "part.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidInputError, match=f"part.tsv{message}"):
