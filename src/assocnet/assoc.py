@@ -115,7 +115,7 @@ def covariance_matrix(samples: np.ndarray) -> SymmetricMatrix:
         raise InvalidInputError("samples must be finite")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / n
-    cov = (cov + cov.T) / 2.0
+    symmetrize_in_place(cov, 0.5)
     return SymmetricMatrix(cov, "covariance")
 
 
@@ -128,9 +128,11 @@ def correlation_from_covariance(cov: SymmetricMatrix) -> SymmetricMatrix:
         bad = int(np.argmax(variances <= 0.0))
         raise DegenerateVarianceError(f"variable {bad} has non-positive variance")
     scale = 1.0 / np.sqrt(variances)
-    corr = cov.values * scale[:, None] * scale[None, :]
-    corr = np.clip(corr, -1.0, 1.0)
-    corr = (corr + corr.T) / 2.0
+    # The one new m x m buffer; every later step works in place.
+    corr = np.multiply(cov.values, scale[:, None])
+    corr *= scale[None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
+    symmetrize_in_place(corr, 0.5)
     np.fill_diagonal(corr, 1.0)
     return SymmetricMatrix(corr, "correlation")
 

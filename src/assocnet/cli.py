@@ -68,7 +68,7 @@ def _out_dir(args) -> Path:
 
 
 class _StageClock:
-    """Wall time of consecutive stages of a command, for manifest.json."""
+    """Wall time of consecutive stages of one command, for manifest.json."""
 
     def __init__(self) -> None:
         self.start = self.mark = time.perf_counter()
@@ -102,8 +102,7 @@ def _load_json(path) -> dict:
         raise InvalidInputError(f"{path}: malformed JSON ({exc})") from exc
 
 
-def cmd_infer(args) -> int:
-    clock = _StageClock()
+def cmd_infer(args, clock: _StageClock):
     if args.kind == "pvalue":
         if args.nu is not None:
             raise UsageError("--nu does not apply to p-value input")
@@ -119,6 +118,7 @@ def cmd_infer(args) -> int:
         assoc = pvalues_to_z(matrix)
     else:
         assoc = fisher_z(matrix, args.nu)
+    del values, matrix  # the fit holds only the score matrix
     clock.lap("standardize")
     adjacency, fit = infer_adjacency(
         assoc, estimate_a=args.estimate_a, threads=args.threads
@@ -136,20 +136,10 @@ def cmd_infer(args) -> int:
     }
     write_mixture_fit_json(out / "mixture_fit.json", fit, params)
     clock.lap("write")
-    write_manifest(
-        out,
-        "infer",
-        __version__,
-        {"input": args.input},
-        params,
-        None,
-        clock.timings(),
-    )
-    return 0
+    return {"input": args.input}, params, None
 
 
-def cmd_communities(args) -> int:
-    clock = _StageClock()
+def cmd_communities(args, clock: _StageClock):
     # Built with a placeholder K so that every setting is checked before
     # the input is read or any eigensolve runs.
     config = SpectralConfig(
@@ -172,28 +162,19 @@ def cmd_communities(args) -> int:
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_json(report) + "\n")
     clock.lap("write")
-    write_manifest(
-        out,
-        "communities",
-        __version__,
-        {"input": args.input},
-        {"K": k, "tau": args.tau, "restarts": args.restarts, "auto_k": args.auto_k},
-        args.seed,
-        clock.timings(),
-    )
-    return 0
+    params = {"K": k, "tau": args.tau, "restarts": args.restarts, "auto_k": args.auto_k}
+    return {"input": args.input}, params, args.seed
 
 
-def cmd_simulate(args) -> int:
-    start = time.perf_counter()
-    mapping = _load_json(args.config)
+def cmd_simulate(args, clock: _StageClock):
+    config = SimConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        mapping["seed"] = args.seed
-    config = SimConfig.from_dict(mapping)
+        config = dataclasses.replace(config, seed=args.seed)
     truth = generate_ground_truth(config)
     corr = generate_correlations(
         truth.adjacency, config.r_gen, config.nu, config.seed
     )
+    clock.lap("generate")
     out = _out_dir(args)
     write_edges_tsv(out / "truth_edges.tsv", truth.adjacency)
     write_partition_tsv(out / "planted_partition.tsv", truth.partition)
@@ -201,20 +182,11 @@ def cmd_simulate(args) -> int:
         write_matrix_bin(out / "correlations.bin", corr.values)
     else:
         write_matrix_csv(out / "correlations.csv", corr.values)
-    write_manifest(
-        out,
-        "simulate",
-        __version__,
-        {"config": args.config},
-        config.to_dict(),
-        config.seed,
-        {"total_s": time.perf_counter() - start},
-    )
-    return 0
+    clock.lap("write")
+    return {"config": args.config}, config.to_dict(), config.seed
 
 
-def cmd_study(args) -> int:
-    start = time.perf_counter()
+def cmd_study(args, clock: _StageClock):
     grid = _load_json(args.grid)
     configs = expand_grid(grid)
     records, summary = run_study(
@@ -224,71 +196,47 @@ def cmd_study(args) -> int:
         estimate_a=args.estimate_a,
         baseline=args.baseline == "spectral-direct",
     )
+    clock.lap("run")
     out = _out_dir(args)
     write_records_jsonl(out / "records.jsonl", records)
     write_summary_csv(out / "summary.csv", summary)
-    write_manifest(
-        out,
-        "study",
-        __version__,
-        {"grid": args.grid},
-        {
-            "grid": grid,
-            "repetitions": args.repetitions,
-            "baseline": args.baseline,
-            "estimate_a": bool(args.estimate_a),
-            "points": len(configs),
-        },
-        args.seed,
-        {"total_s": time.perf_counter() - start},
-    )
-    return 0
+    clock.lap("write")
+    params = {
+        "grid": grid,
+        "repetitions": args.repetitions,
+        "baseline": args.baseline,
+        "estimate_a": bool(args.estimate_a),
+        "points": len(configs),
+    }
+    return {"grid": args.grid}, params, args.seed
 
 
-def cmd_evaluate(args) -> int:
-    start = time.perf_counter()
-    kind_a = sniff_kind(args.truth)
-    kind_b = sniff_kind(args.candidate)
-    if kind_a != kind_b:
+def cmd_evaluate(args, clock: _StageClock):
+    kind = sniff_kind(args.truth)
+    if sniff_kind(args.candidate) != kind:
         raise UsageError("cannot compare a partition with an adjacency")
-    rows = []
-    if kind_a == "partition":
-        truth = read_partition_tsv(args.truth)
-        candidate = read_partition_tsv(args.candidate)
-        rows.append({"metric": "nmi", "value": nmi(truth, candidate)})
+    read = read_partition_tsv if kind == "partition" else read_edges_tsv
+    truth, candidate = read(args.truth), read(args.candidate)
+    clock.lap("read")
+    if kind == "partition":
+        rows = [("nmi", nmi(truth, candidate))]
     else:
-        truth = read_edges_tsv(args.truth)
-        candidate = read_edges_tsv(args.candidate)
         confusion = edge_confusion(candidate, truth)
-        rows.extend(
-            [
-                {"metric": "tpr", "value": confusion.tpr},
-                {"metric": "fpr", "value": confusion.fpr},
-                {"metric": "tp", "value": confusion.tp},
-                {"metric": "fp", "value": confusion.fp},
-                {"metric": "tn", "value": confusion.tn},
-                {"metric": "fn", "value": confusion.fn},
-                {"metric": "truth_density", "value": edge_density(truth).overall},
-                {
-                    "metric": "candidate_density",
-                    "value": edge_density(candidate).overall,
-                },
-            ]
-        )
+        rows = [
+            (name, getattr(confusion, name))
+            for name in ("tpr", "fpr", "tp", "fp", "tn", "fn")
+        ]
+        rows += [
+            ("truth_density", edge_density(truth).overall),
+            ("candidate_density", edge_density(candidate).overall),
+        ]
+    clock.lap("compare")
     out = _out_dir(args)
-    write_summary_csv(out / "metrics.csv", rows)
-    for row in rows:
-        print(f"{row['metric']}={row['value']}")
-    write_manifest(
-        out,
-        "evaluate",
-        __version__,
-        {"truth": args.truth, "candidate": args.candidate},
-        {"kind": kind_a},
-        None,
-        {"total_s": time.perf_counter() - start},
-    )
-    return 0
+    write_summary_csv(out / "metrics.csv", [{"metric": n, "value": v} for n, v in rows])
+    for name, value in rows:
+        print(f"{name}={value}")
+    clock.lap("write")
+    return {"truth": args.truth, "candidate": args.candidate}, {"kind": kind}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,9 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its manifest.json; returns the exit code.
+
+    A command laps its stages on the clock and returns (inputs, config,
+    seed) for the manifest. A command that fails writes no manifest.
+    """
     args = build_parser().parse_args(argv)
+    clock = _StageClock()
     try:
-        return args.func(args)
+        inputs, config, seed = args.func(args, clock)
+        write_manifest(
+            _out_dir(args), args.command, __version__, inputs, config, seed, clock.timings()
+        )
+        return 0
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

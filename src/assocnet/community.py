@@ -46,6 +46,8 @@ class SpectralConfig:
             raise ParameterError("K must be at least 1")
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
         if isinstance(self.tau, str):
             if self.tau != "auto":
                 raise ParameterError('tau must be "auto" or a finite nonnegative number')

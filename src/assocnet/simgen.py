@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +47,16 @@ _STREAM_NETWORK = 2
 _STREAM_WISHART = 3
 _STREAM_DETECT = 4
 
+_INTEGER_FIELDS = ("m", "k", "community_size", "nu", "seed")
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one generative configuration."""
+    """Parameters of one generative configuration.
+
+    The fields typed int must be integers and the rest finite numbers;
+    a bool is neither.
+    """
 
     m: int
     k: int
@@ -64,6 +72,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _INTEGER_FIELDS:
+                ok, kind = isinstance(value, numbers.Integral), "an integer"
+            else:
+                ok = isinstance(value, numbers.Real) and math.isfinite(value)
+                kind = "a finite number"
+            if isinstance(value, bool) or not ok:
+                raise ParameterError(f"{f.name} must be {kind}, not {value!r}")
         if self.m < 2:
             raise ParameterError("m must be at least 2")
         if self.k < 1 or self.community_size < 1:
@@ -86,10 +103,19 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SimConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - known
+        if not isinstance(mapping, dict):
+            raise ParameterError("config must be a JSON object")
+        fields = dataclasses.fields(cls)
+        unknown = set(mapping) - {f.name for f in fields}
         if unknown:
             raise ParameterError(f"unknown config fields: {sorted(unknown)}")
+        missing = [
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.name not in mapping
+        ]
+        if missing:
+            raise ParameterError(f"missing config fields: {missing}")
         return cls(**mapping)
 
 
@@ -283,6 +309,8 @@ def expand_grid(mapping: dict) -> list[SimConfig]:
     Fields holding lists are swept; the Cartesian product is taken in
     the order the swept fields appear. Scalar fields are shared.
     """
+    if not isinstance(mapping, dict):
+        raise ParameterError("grid must be a JSON object")
     base = dict(mapping)
     swept = [name for name, value in base.items() if isinstance(value, list)]
     return [
@@ -309,6 +337,8 @@ def run_study(
     """
     if repetitions < 1:
         raise ParameterError("repetitions must be at least 1")
+    if seed < 0:
+        raise ParameterError("seed must be nonnegative")
     records = []
     for point, config in enumerate(configs):
         for rep in range(repetitions):

@@ -360,3 +360,48 @@ class TestScoreTransformMemory:
         by_cols = fisher_z(SymmetricMatrix(np.asfortranarray(values), "correlation"), 60).z
         assert by_cols.flags.c_contiguous
         assert np.array_equal(by_rows, by_cols)
+
+
+class TestCovarianceTransformsInPlace:
+    """covariance_matrix and correlation_from_covariance symmetrize in place.
+
+    Oracle: verbatim copies of the whole-matrix formulas they replaced,
+    which must agree bit for bit, including at sizes that are not a
+    multiple of the symmetrize tile.
+    """
+
+    @staticmethod
+    def old_covariance(samples):
+        x = np.asarray(samples, dtype=np.float64)
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / x.shape[0]
+        return (cov + cov.T) / 2.0
+
+    @staticmethod
+    def old_correlation(cov):
+        scale = 1.0 / np.sqrt(np.diag(cov))
+        corr = cov * scale[:, None] * scale[None, :]
+        corr = np.clip(corr, -1.0, 1.0)
+        corr = (corr + corr.T) / 2.0
+        np.fill_diagonal(corr, 1.0)
+        return corr
+
+    @pytest.mark.parametrize("m", [7, 130, 777])
+    def test_bit_identical_to_the_whole_matrix_formulas(self, m):
+        rng = np.random.default_rng(m)
+        samples = rng.normal(size=(40, m)) * rng.uniform(0.1, 5.0, size=m)
+        samples[:, 1] = 3.0 * samples[:, 0]  # a pair at |r| = 1, up to rounding
+        cov = covariance_matrix(samples)
+        assert np.array_equal(cov.values, self.old_covariance(samples))
+        corr = correlation_from_covariance(cov)
+        assert np.array_equal(corr.values, self.old_correlation(cov.values))
+
+    def test_correlation_needs_one_new_buffer(self):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(300, 400))
+        cov = SymmetricMatrix(base.T @ base + np.eye(400), "covariance")
+        before = cov.values.copy()
+        corr, peak = TestScoreTransformMemory.traced_peak(correlation_from_covariance, cov)
+        assert np.array_equal(corr.values, self.old_correlation(before))
+        assert np.array_equal(cov.values, before)
+        assert peak < 1.2 * before.nbytes

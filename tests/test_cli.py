@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.sparse.linalg import eigsh as scipy_eigsh
 from scipy.special import ndtr
 
-from assocnet import __version__, community, ebayes
+from assocnet import __version__, cli, community, ebayes
 from assocnet.assoc import SymmetricMatrix, fisher_z, pvalues_to_z
 from assocnet.cli import main
 from assocnet.ebayes import detection_threshold, infer_adjacency
@@ -50,6 +51,7 @@ SIM = dict(
     nu=100,
     seed=3,
 )
+GRID = {name: value for name, value in SIM.items() if name != "seed"}
 
 
 @pytest.fixture()
@@ -146,6 +148,7 @@ class TestInfer:
                      "--output-dir", str(out)])
         assert code == 4
         assert not (out / "edges.tsv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_fit_lists_its_boundary_rows(self, tmp_path):
         config = SimConfig(m=60, k=4, community_size=15, theta_in=50.0,
@@ -179,6 +182,7 @@ class TestInfer:
                      "--estimate-a", "--output-dir", str(out)])
         assert code == 4
         assert not (out / "edges.tsv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_pvalue_input_gives_the_same_network(self, tmp_path, corr_values):
         # upper-tail p-values carry the same evidence as the scores they
@@ -248,11 +252,14 @@ class TestInfer:
         assert main(["infer", str(path), "--kind", "correlation"]) == 2
 
     def test_missing_input_file_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
         code = main(
-            ["infer", str(tmp_path / "nope.csv"), "--kind", "correlation", "--nu", "50"]
+            ["infer", str(tmp_path / "nope.csv"), "--kind", "correlation", "--nu", "50",
+             "--output-dir", str(out)]
         )
         assert code == 3
         assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_blank_matrix_file_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
@@ -261,6 +268,7 @@ class TestInfer:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert "empty matrix file" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_zero_variance_column_is_named(self, tmp_path, capsys):
         cov = np.eye(4)
@@ -273,6 +281,7 @@ class TestInfer:
         )
         assert code == 3
         assert "variable 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_seedless_rerun_is_byte_identical(self, tmp_path, corr_values):
         scores = tmp_path / "corr.csv"
@@ -286,18 +295,40 @@ class TestInfer:
             assert main(argv) == 0
         assert_same_bytes(dirs[0], dirs[1])
 
-    def test_manifest_times_each_stage(self, tmp_path, corr_values):
-        scores = tmp_path / "corr.csv"
-        write_matrix_csv(scores, corr_values)
-        out = tmp_path / "out"
-        argv = ["infer", str(scores), "--kind", "correlation", "--nu", "100",
-                "--output-dir", str(out)]
+    @pytest.mark.parametrize("kind", ["correlation", "covariance"])
+    def test_fit_holds_no_input_matrix(self, tmp_path, corr_values, monkeypatch, kind):
+        values = corr_values
+        if kind == "covariance":
+            scale = np.linspace(0.5, 3.0, values.shape[0])
+            values = (values + np.eye(values.shape[0])) * np.outer(scale, scale)
+        path = tmp_path / "scores.csv"
+        write_matrix_csv(path, values)
+        read, to_correlation, fit = (
+            cli.read_matrix_auto, cli.correlation_from_covariance, cli.infer_adjacency
+        )
+        arrays, alive_at_fit = [], []
+
+        def read_and_watch(*args):
+            result = read(*args)
+            arrays.append(weakref.ref(result[0]))
+            return result
+
+        def to_correlation_and_watch(*args):
+            result = to_correlation(*args)
+            arrays.append(weakref.ref(result.values))
+            return result
+
+        def fit_and_check(*args, **kwargs):
+            alive_at_fit.extend(ref() is not None for ref in arrays)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_matrix_auto", read_and_watch)
+        monkeypatch.setattr(cli, "correlation_from_covariance", to_correlation_and_watch)
+        monkeypatch.setattr(cli, "infer_adjacency", fit_and_check)
+        argv = ["infer", str(path), "--kind", kind, "--nu", "100",
+                "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 0
-        timings = read_json(out / "manifest.json")["timings"]
-        stages = ["read_s", "standardize_s", "infer_s", "write_s"]
-        assert sorted(timings) == sorted(stages + ["total_s"])
-        assert all(timings[name] >= 0.0 for name in stages)
-        assert sum(timings[name] for name in stages) <= timings["total_s"]
+        assert alive_at_fit == [False] * (2 if kind == "covariance" else 1)
 
 
 class TestCommunities:
@@ -355,6 +386,7 @@ class TestCommunities:
         assert main(["communities", str(edges), "--auto-k", "--output-dir", str(out)]) == 4
         assert asked == [community.EIGENGAP_FIRST_REQUEST, 48]
         assert not (out / "partition.tsv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_k_larger_than_node_count_is_a_usage_error(self, tmp_path):
         adj, _ = two_cliques(3)
@@ -417,18 +449,6 @@ class TestCommunities:
             assert main(argv) == 0
         assert_same_bytes(dirs[0], dirs[1])
 
-    def test_manifest_times_each_stage(self, tmp_path):
-        adj, _ = two_cliques(8)
-        edges = tmp_path / "edges.tsv"
-        write_edges_tsv(edges, adj)
-        out = tmp_path / "out"
-        assert main(["communities", str(edges), "--auto-k", "--output-dir", str(out)]) == 0
-        timings = read_json(out / "manifest.json")["timings"]
-        stages = ["read_s", "select_k_s", "detect_s", "write_s"]
-        assert sorted(timings) == sorted(stages + ["total_s"])
-        assert all(timings[name] >= 0.0 for name in stages)
-        assert sum(timings[name] for name in stages) <= timings["total_s"]
-
     def test_rejected_edge_is_named_by_its_line(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
         edges.write_text("# m=3\n1\t2\n\n2\t5\n", encoding="utf-8")
@@ -436,6 +456,7 @@ class TestCommunities:
         assert main(["communities", str(edges), "-K", "2", "--output-dir", str(out)]) == 3
         assert f"{edges}:4: id above m=3" in capsys.readouterr().err
         assert not (out / "partition.tsv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 class TestSimulate:
@@ -490,7 +511,36 @@ class TestSimulate:
     def test_malformed_config_is_a_data_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        assert main(["simulate", "--config", str(path)]) == 3
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 3
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 60.0), ("theta_in", "x"), ("m", [60, 80]), ("theta_in", float("nan"))],
+        ids=["m-float", "theta_in-text", "m-list", "theta_in-nan"],
+    )
+    def test_mistyped_field_is_a_usage_error(self, tmp_path, capsys, field, value):
+        config_path = self.write_config(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--output-dir", str(out)]) == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config must be a JSON object"),
+            (json.dumps({"m": 40, "k": 2}), "missing config fields: ['community_size'"),
+        ],
+        ids=["list", "missing-fields"],
+    )
+    def test_partial_config_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_out_of_range_field_is_a_usage_error(self, tmp_path):
         config_path = self.write_config(tmp_path, nu=3)
@@ -545,6 +595,20 @@ class TestStudy:
         path.write_text(json.dumps(dict(SIM, deterministic_alpha=True)), encoding="utf-8")
         assert main(["study", "--grid", str(path), "--repetitions", "1",
                      "--output-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        # a NaN second grid point: no run starts and no record is written
+        [dict(GRID, theta_in=[30.0, float("nan")]), [GRID]],
+        ids=["nan-point", "list"],
+    )
+    def test_bad_grid_is_a_usage_error(self, tmp_path, payload):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["study", "--grid", str(path), "--repetitions", "1",
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         grid_path, _ = self.write_grid(tmp_path)
@@ -606,7 +670,9 @@ class TestEvaluate:
     def test_headerless_file_is_a_data_error(self, tmp_path):
         path = tmp_path / "raw.tsv"
         path.write_text("1\t2\n", encoding="utf-8")
-        assert main(["evaluate", str(path), str(path)]) == 3
+        out = tmp_path / "out"
+        assert main(["evaluate", str(path), str(path), "--output-dir", str(out)]) == 3
+        assert not (out / "manifest.json").exists()
 
     def test_non_integer_header_is_a_data_error(self, tmp_path):
         edges, part = tmp_path / "e.tsv", tmp_path / "p.tsv"
@@ -619,12 +685,67 @@ class TestEvaluate:
         assert not out.exists()
 
 
+class TestManifest:
+    STAGES = {
+        "infer": ["read_s", "standardize_s", "infer_s", "write_s"],
+        "communities": ["read_s", "select_k_s", "detect_s", "write_s"],
+        "simulate": ["generate_s", "write_s"],
+        "study": ["run_s", "write_s"],
+        "evaluate": ["read_s", "compare_s", "write_s"],
+    }
+
+    @staticmethod
+    def argv(command, tmp_path, corr_values):
+        if command == "infer":
+            path = tmp_path / "corr.csv"
+            write_matrix_csv(path, corr_values)
+            return ["infer", str(path), "--kind", "correlation", "--nu", "100"]
+        if command in ("communities", "evaluate"):
+            path = tmp_path / "edges.tsv"
+            write_edges_tsv(path, two_cliques(8)[0])
+            if command == "communities":
+                return ["communities", str(path), "--auto-k"]
+            return ["evaluate", str(path), str(path)]
+        path = tmp_path / "config.json"
+        if command == "simulate":
+            path.write_text(json.dumps(SIM), encoding="utf-8")
+            return ["simulate", "--config", str(path)]
+        path.write_text(json.dumps(GRID), encoding="utf-8")
+        return ["study", "--grid", str(path), "--repetitions", "1"]
+
+    @pytest.mark.parametrize("command", list(STAGES))
+    def test_manifest_times_each_stage(self, tmp_path, corr_values, command):
+        out = tmp_path / "out"
+        assert main(self.argv(command, tmp_path, corr_values) + ["--output-dir", str(out)]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["command"] == command
+        timings = manifest["timings"]
+        stages = self.STAGES[command]
+        assert sorted(timings) == sorted(stages + ["total_s"])
+        assert all(timings[name] >= 0.0 for name in stages)
+        assert sum(timings[name] for name in stages) <= timings["total_s"]
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, monkeypatch):
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, two_cliques(3)[0])
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(GRID), encoding="utf-8")
+        solves = []
+        monkeypatch.setattr(community, "_leading_eigenpairs", lambda *a, **kw: solves.append(a))
+        out = tmp_path / "out"
+        for argv in (["communities", str(edges), "-K", "2"],
+                     ["study", "--grid", str(grid_path), "--repetitions", "1"]):
+            assert main(argv + ["--seed", "-1", "--output-dir", str(out)]) == 2
+        assert solves == []
+        assert not out.exists()
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
