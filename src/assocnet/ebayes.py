@@ -7,8 +7,11 @@ marginal maximum likelihood, borrowing strength across the row. An entry
 is kept when the posterior median of mu is nonzero, and an edge survives
 only when both of its endpoint rows keep it.
 
-All densities and tail masses are evaluated in log space so that scores
-far into the tails (|z| in the hundreds after clamping) remain exact.
+The public densities and tail masses are evaluated in log space so that
+scores far into the tails (|z| in the hundreds after clamping) remain
+exact. The row fit needs only the slab-to-null ratio g / phi, which it
+takes from two scaled complementary error functions (erfcx), with a
+closed form for its log where the ratio overflows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from .assoc import AssocMatrix
 from .errors import ConvergenceError, InvalidInputError, ParameterError
@@ -29,6 +32,8 @@ A_MIN = 0.05
 A_MAX = 4.0
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_SQRT_HALF = np.sqrt(0.5)
+_SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 # A row's search over a stops at its last evaluated a once the next step
 # would move a by at most _A_TOL; _A_STEPS caps its passes after the scan.
 _A_TOL = 1e-8
@@ -131,26 +136,51 @@ def log_laplace_normal_density(z, a):
     return np.log(a / 2.0) + 0.5 * a * a + np.logaddexp(*_log_slab_tails(z, a))
 
 
-def _log_slab_and_slope(z, a, l_phi):
-    """log g(z; a) and d log g / da from the same pair of log_ndtr passes.
+def _slab_ratio(z_abs, a):
+    """The slab-to-null ratio g / phi at |z| and the erfcx term T2 it sums.
 
-    d log g / da = 1/a + a + z tanh((l_l - l_u) / 2) - a phi(z) / g, with
-    the tails l_u, l_l of _log_slab_tails and l_phi = log phi(z). The
-    value equals log_laplace_normal_density bit for bit.
+    g / phi = (a/2) sqrt(pi/2) (T1 + T2) with T1 = erfcx((a - |z|) / sqrt 2)
+    and T2 = erfcx((|z| + a) / sqrt 2), the Mills-ratio form of
+    EBayesThresh's beta.laplace (Johnstone & Silverman 2005). The ratio is
+    inf past |z| of about a + 37.7, or earlier when a > 1.6; there its log
+    is _log_ratio_overflow to double precision.
     """
-    l_u, l_l = _log_slab_tails(z, a)
-    l_g = np.logaddexp(l_u, l_l)
-    l_g += np.log(a / 2.0) + 0.5 * a * a
-    slope = np.subtract(l_l, l_u, out=l_l)
-    slope *= 0.5
-    np.tanh(slope, out=slope)
-    slope *= z
-    phi_over_g = np.subtract(l_phi, l_g, out=l_u)
-    np.exp(phi_over_g, out=phi_over_g)
-    phi_over_g *= a
-    slope -= phi_over_g
+    with np.errstate(over="ignore"):
+        ratio = np.subtract(a, z_abs)
+        ratio *= _SQRT_HALF
+        erfcx(ratio, out=ratio)
+        t2 = np.add(z_abs, a)
+        t2 *= _SQRT_HALF
+        erfcx(t2, out=t2)
+        ratio += t2
+        ratio *= 0.5 * _SQRT_HALF_PI * a
+    return ratio, t2
+
+
+def _log_ratio_overflow(z_abs, a):
+    """log(g / phi) = log(a sqrt(pi/2)) + (|z| - a)^2 / 2 where T1 dominates.
+
+    T1 = 2 exp((|z| - a)^2 / 2) - erfcx((|z| - a) / sqrt 2) and T2 <= 1, so
+    the form is exact in double precision wherever _slab_ratio overflows.
+    """
+    return np.log(a * _SQRT_HALF_PI) + 0.5 * np.square(z_abs - a)
+
+
+def _slab_slope(z_abs, a, ratio, t2):
+    """d log g / da from the outputs (ratio, t2) of _slab_ratio; t2 is overwritten.
+
+    d log g / da = 1/a + a + |z| (T2 - T1) / (T1 + T2) - a phi / g, and
+    (T2 - T1) / (T1 + T2) = a sqrt(pi/2) T2 / (g / phi) - 1, so it equals
+    1/a + a - |z| + (a sqrt(pi/2) |z| T2 - a) / (g / phi). Where the ratio
+    overflows that is the slope 1/a + a - |z| of _log_ratio_overflow.
+    """
+    slope = np.multiply(t2, z_abs, out=t2)
+    slope *= a * _SQRT_HALF_PI
+    slope -= a
+    slope /= ratio
+    slope -= z_abs
     slope += 1.0 / a + a
-    return l_g, slope
+    return slope
 
 
 def laplace_normal_density(z, a):
@@ -332,95 +362,125 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
     leaves the bracket, or is more than half the step before last, is
     replaced by the bracket midpoint, so no row does worse than bisection.
     A row stops once its step is below _STEP_RTOL relative to w; a row
-    still moving after _HALVINGS steps raises ConvergenceError. Every
-    row's steps and stopping point depend on that row alone, so results
-    cannot depend on how rows are batched or chunked across threads.
+    still moving after _HALVINGS steps raises ConvergenceError. The steps
+    work on a copy of the rows still live after the end-point checks,
+    gathered again whenever the live count falls to half. Every row's
+    steps and stopping point depend on that row alone, so results cannot
+    depend on how rows are batched or chunked across threads.
     """
-    terms = np.empty_like(inv_beta)
+    buffer = np.empty_like(inv_beta)
 
-    def score(w):
-        np.add(inv_beta, w[:, None], out=terms)
-        return np.reciprocal(terms, out=terms).sum(axis=1)
+    def score(c, w):
+        terms = np.add(c, w[:, None], out=buffer[: c.shape[0]])
+        return np.reciprocal(terms, out=terms).sum(axis=1), terms
 
     lo = np.asarray(lo, dtype=np.float64)
-    hi = np.ones_like(lo)
-    at_lo = score(lo) < 0.0
-    at_hi = ~at_lo & (score(hi) >= 0.0)
-    live = ~(at_lo | at_hi)
-    w = np.where(at_lo, lo, np.where(at_hi, hi, np.sqrt(lo)))
+    at_lo = score(inv_beta, lo)[0] < 0.0
+    at_hi = ~at_lo & (score(inv_beta, np.ones_like(lo))[0] >= 0.0)
+    w = np.where(at_lo, lo, 1.0)
+    rows = np.flatnonzero(~(at_lo | at_hi))  # the gathered rows, live or not
+    live = np.ones(rows.size, dtype=bool)
+    c = inv_beta[rows] if rows.size < w.size else inv_beta
+    lo, hi = lo[rows], np.ones(rows.size)
+    x = np.sqrt(lo)  # the weights of the gathered rows
     step = step_old = hi - lo
     for _ in range(_HALVINGS):
         if not live.any():
             break
-        s = score(w)
-        h_prime = s - w * np.einsum("ij,ij->i", terms, terms)  # S + w S'
+        s, terms = score(c, x)
+        h_prime = s - x * np.einsum("ij,ij->i", terms, terms)  # S + w S'
         right = s > 0.0
-        lo = np.where(right, w, lo)
-        hi = np.where(right, hi, w)
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = w - w * s / h_prime
+            newton = x - x * s / h_prime
         # NaN fails both comparisons and so falls back to the midpoint too.
         keep = (newton >= lo) & (newton <= hi)
-        keep &= np.abs(newton - w) <= 0.5 * step_old
+        keep &= np.abs(newton - x) <= 0.5 * step_old
         nxt = np.where(keep, newton, 0.5 * (lo + hi))
-        step_old, step = step, np.abs(nxt - w)
-        w = np.where(live, nxt, w)
+        step_old, step = step, np.abs(nxt - x)
+        x = np.where(live, nxt, x)
         live &= step > _STEP_RTOL * nxt
+        if 2 * np.count_nonzero(live) <= live.size:
+            w[rows] = x
+            rows, c, lo, hi, x, step, step_old = (
+                v[live] for v in (rows, c, lo, hi, x, step, step_old)
+            )
+            live = live[live]
     if live.any():
         raise ConvergenceError(
             f"weight solve still moving after {_HALVINGS} steps "
-            f"in {int(live.sum())} of {live.size} rows"
+            f"in {int(live.sum())} of {w.size} rows"
         )
+    w[rows] = x
     return w
 
 
-def _weights_and_mixture(l_g, l_phi, lo):
-    """ML weights on [lo, 1] at log slab densities l_g (one row each), and
-    the log mixture densities log((1 - w) phi + w g) at those weights."""
-    inv_beta = np.subtract(l_g, l_phi)  # log(g / phi), turned into 1 / beta in place
-    with np.errstate(over="ignore", divide="ignore"):
-        np.reciprocal(np.expm1(inv_beta, out=inv_beta), out=inv_beta)
-    w = _score_root(inv_beta, lo)
-    del inv_beta  # freed before the loglik pass to lower peak memory
+def _weights(beta, lo):
+    """ML weights on [lo, 1] at slab-to-null ratios beta = g / phi - 1 (one
+    row each), and w * beta in a new array."""
     with np.errstate(divide="ignore"):
-        lw = np.log(w)[:, None]
-        l1mw = np.log1p(-w)[:, None]
-    l_mix = l1mw + l_phi
-    return w, np.logaddexp(l_mix, lw + l_g, out=l_mix)
+        inv_beta = np.reciprocal(beta)
+    w = _score_root(inv_beta, lo)
+    return w, np.multiply(beta, w[:, None], out=inv_beta)
 
 
-def _profile_with_slope(z_abs, l_phi, a):
+def _loglik(w_beta, z, w, a, log_phi_sum):
+    """Row logliks sum(log phi) + sum(log1p(w beta)) from w_beta = w * beta,
+    which is overwritten.
+
+    log((1 - w) phi + w g) = log phi + log1p(w beta). Where beta overflowed
+    to inf the term is log w + log(g / phi) from _log_ratio_overflow; only
+    rows whose sum came out inf are summed again.
+    """
+    terms = np.log1p(w_beta, out=w_beta)
+    ll = terms.sum(axis=1)
+    over = np.flatnonzero(np.isinf(ll))
+    if over.size:
+        sub = terms[over]
+        big = np.isinf(sub)
+        r = np.nonzero(big)[0]
+        sub[big] = np.log(w[over][r]) + _log_ratio_overflow(np.abs(z[over][big]), a[over][r])
+        ll[over] = sub.sum(axis=1)
+    return ll + log_phi_sum
+
+
+def _profile_with_slope(z_abs, log_phi_sum, a):
     """Profile fit at per-row spreads a: (w, loglik, dL/da).
 
-    L(a) is the loglik at a and its ML weight w(a). Where w(a) is interior
-    or pinned at 1, dL/da is the partial derivative in a (envelope
-    theorem): the sum of (w g / mix) d log g / da. Where w(a) sits at
-    weight_lower_bound, the bound's slope times the weight score
-    sum((g - phi) / mix) is added.
+    L(a) is the loglik at a and its ML weight w(a); log_phi_sum holds each
+    row's sum(log phi). Where w(a) is interior or pinned at 1, dL/da is the
+    partial derivative in a (envelope theorem): the sum of the slab shares
+    w g / mix = 1 - (1 - w) q, q = phi / mix = 1 / (1 + w beta), times
+    d log g / da. Where w(a) sits at weight_lower_bound, the bound's slope
+    times the weight score sum((g - phi) / mix) = sum(1 - q) / w is added.
     """
     n = z_abs.shape[1]
-    l_g, dlog_g = _log_slab_and_slope(z_abs, a[:, None], l_phi)
+    a_col = a[:, None]
+    ratio, t2 = _slab_ratio(z_abs, a_col)
     lo = weight_lower_bound(n, a)
-    w, l_mix = _weights_and_mixture(l_g, l_phi, lo)
-    slab_share = np.log(w)[:, None] + l_g
-    slab_share -= l_mix
-    slope = np.einsum("ij,ij->i", np.exp(slab_share, out=slab_share), dlog_g)
-    floor = w == lo
-    if floor.any():
-        l_mix_f = l_mix[floor]
-        score = np.exp(l_g[floor] - l_mix_f) - np.exp(l_phi[floor] - l_mix_f)
-        slope[floor] += score.sum(axis=1) * _weight_floor_slope(n, a[floor])
-    return w, l_mix.sum(axis=1), slope
+    w, w_beta = _weights(ratio - 1.0, lo)
+    q = np.add(w_beta, 1.0)
+    np.reciprocal(q, out=q)
+    loglik = _loglik(w_beta, z_abs, w, a, log_phi_sum)
+    dlog_g = _slab_slope(z_abs, a_col, ratio, t2)
+    floor = np.flatnonzero(w == lo)
+    floor_score = (1.0 - q[floor]).sum(axis=1) / w[floor]
+    share = np.multiply(q, (w - 1.0)[:, None], out=q)
+    share += 1.0
+    slope = np.einsum("ij,ij->i", share, dlog_g)
+    slope[floor] += floor_score * _weight_floor_slope(n, a[floor])
+    return w, loglik, slope
 
 
-def _fit_spread(z_abs, l_phi):
+def _fit_spread(z_abs, log_phi_sum):
     """Per-row (w, a, loglik) at the a in [A_MIN, A_MAX] that maximizes the
     profile loglik L(a); the search is described in fit_rows."""
     rows = z_abs.shape[0]
     r = np.arange(rows)
     grid = A_MIN + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (A_MAX - A_MIN)
     w_s, ll_s, d_s = map(np.stack, zip(*(
-        _profile_with_slope(z_abs, l_phi, np.full(rows, g)) for g in grid
+        _profile_with_slope(z_abs, log_phi_sum, np.full(rows, g)) for g in grid
     )))
     best = ll_s.argmax(axis=0)
     x, w, ll, d = grid[best], w_s[best, r], ll_s[best, r], d_s[best, r]
@@ -460,7 +520,7 @@ def _fit_spread(z_abs, l_phi):
         idx = np.flatnonzero(live)
         a_new = nxt[idx]
         sub = idx if idx.size < rows else slice(None)  # a view while every row is live
-        w_new, ll_new, d_new = _profile_with_slope(z_abs[sub], l_phi[sub], a_new)
+        w_new, ll_new, d_new = _profile_with_slope(z_abs[sub], log_phi_sum[sub], a_new)
         side = (w_new == 1.0).astype(np.int64)
         seen = ~np.isnan(last_x[side, idx])
         x_prev[idx] = np.where(seen, last_x[side, idx], x[idx])
@@ -480,7 +540,7 @@ def _fit_spread(z_abs, l_phi):
     )
 
 
-def fit_rows(z: np.ndarray, estimate_a: bool = False, *, log_slab=None):
+def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
     The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
@@ -503,9 +563,9 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, log_slab=None):
     than the search result is returned instead, so the exact bounds win
     when they are best. Each row's result depends on that row alone.
 
-    log_slab, valid only with estimate_a false, holds the slab log
-    densities log g(|z|; A_DEFAULT) of z, already computed by the caller;
-    without it they are computed here.
+    beta, valid only with estimate_a false, holds the slab-to-null ratios
+    g / phi - 1 at |z| and A_DEFAULT, already computed by the caller with
+    _slab_ratio; without it they are computed here the same way.
 
     Returns (w, a, loglik) vectors of length R.
     """
@@ -514,21 +574,22 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, log_slab=None):
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
-    if log_slab is not None:
+    if beta is not None:
         if estimate_a:
-            raise ParameterError("precomputed slab densities need the fixed spread")
-        log_slab = np.asarray(log_slab, dtype=np.float64)
-        if log_slab.shape != z.shape:
-            raise InvalidInputError("slab densities must match the score array")
+            raise ParameterError("precomputed slab ratios need the fixed spread")
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.shape != z.shape:
+            raise InvalidInputError("slab ratios must match the score array")
     rows, n = z.shape
+    log_phi_sum = -0.5 * np.einsum("ij,ij->i", z, z) - n * _LOG_SQRT_2PI
     if estimate_a:
-        z_abs = np.abs(z)
-        return _fit_spread(z_abs, _log_norm_pdf(z_abs))
+        return _fit_spread(np.abs(z), log_phi_sum)
     a = np.full(rows, A_DEFAULT)
-    l_g = log_laplace_normal_density(np.abs(z), a[:, None]) if log_slab is None else log_slab
-    l_phi = _log_norm_pdf(z)
-    w, l_mix = _weights_and_mixture(l_g, l_phi, weight_lower_bound(n, a))
-    return w, a, l_mix.sum(axis=1)
+    if beta is None:
+        beta = _slab_ratio(np.abs(z), A_DEFAULT)[0]
+        beta -= 1.0
+    w, w_beta = _weights(beta, weight_lower_bound(n, a))
+    return w, a, _loglik(w_beta, z, w, a, log_phi_sum)
 
 
 def fit_row(z_row, estimate_a: bool = False):
@@ -557,12 +618,12 @@ def infer_adjacency(
 
     Rows are fitted and thresholded in blocks of at most about
     _BLOCK_ENTRIES scores, at least one per thread, which the threads
-    share. With the fixed spread each unordered pair's slab density is
-    evaluated once: a block computes its upper strip and hands each later
-    block the tile of its columns, which that block mirrors and drops, so
-    those tiles hold at most about m^2 / 4 densities at a time. Working
-    memory beyond the input is O(threads * block + m^2 / 4 + edges), or
-    without the m^2 / 4 term with estimate_a. Each row's fit depends on
+    share. With the fixed spread each unordered pair's slab-to-null ratio
+    beta = g / phi - 1 is evaluated once: a block computes its upper strip
+    and hands each later block the tile of its columns, which that block
+    mirrors and drops, so those tiles hold at most about m^2 / 4 ratios at
+    a time. Working memory beyond the input is O(threads * block + m^2 / 4
+    + edges), or without the m^2 / 4 term with estimate_a. Each row's fit depends on
     that row alone, so any thread count gives the same result.
     """
     if not isinstance(assoc, AssocMatrix):
@@ -576,39 +637,40 @@ def infer_adjacency(
     n_blocks = max(threads, -(-m * m // _BLOCK_ENTRIES))
     blocks = np.array_split(np.arange(m), min(m, n_blocks))
     starts = [int(rows[0]) for rows in blocks] + [m]
-    # Block k's tiles {later block c: densities at block k's rows and block
-    # c's columns}, or the exception that stopped block k before it could
+    # Block k's tiles {later block c: beta at block k's rows and block c's
+    # columns}, or the exception that stopped block k before it could
     # hand them over.
     handoff = [Future() for _ in blocks]
     failed = []  # indices of the blocks that raised
 
-    def mirrored_slab(k):
-        """Block k's slab log densities, (R, m - 1) with the diagonal out."""
+    def mirrored_beta(k):
+        """Block k's slab-to-null ratios beta, (R, m - 1) with the diagonal out."""
         first, stop = starts[k], starts[k + 1]
-        strip = log_laplace_normal_density(np.abs(z[first:stop, first:]), A_DEFAULT)
+        strip = _slab_ratio(np.abs(z[first:stop, first:]), A_DEFAULT)[0]
+        strip -= 1.0
         handoff[k].set_result({
             c: strip[:, starts[c] - first : starts[c + 1] - first].copy()
             for c in range(k + 1, len(blocks))
         })
-        l_g = np.empty((stop - first, m - 1))
+        beta = np.empty((stop - first, m - 1))
         # Row r's diagonal is strip column r: the columns right of it move
         # left by one, those left of it (below the diagonal) stay.
-        l_g[:, first:] = strip[:, 1:]
+        beta[:, first:] = strip[:, 1:]
         below = np.tril_indices(stop - first, -1)
-        l_g[below[0], first + below[1]] = strip[below]
+        beta[below[0], first + below[1]] = strip[below]
         del strip
         for b in range(k):
-            l_g[:, starts[b] : starts[b + 1]] = handoff[b].result().pop(k).T
-        return l_g
+            beta[:, starts[b] : starts[b + 1]] = handoff[b].result().pop(k).T
+        return beta
 
     def fit_block(k):
         try:
             if any(j < k for j in failed):
                 raise CancelledError  # a block before this one failed
             rows = blocks[k]
-            l_g = None if estimate_a else mirrored_slab(k)
+            beta = None if estimate_a else mirrored_beta(k)
             scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
-            return fit_rows(scores.reshape(rows.size, m - 1), estimate_a, log_slab=l_g)
+            return fit_rows(scores.reshape(rows.size, m - 1), estimate_a, beta=beta)
         except BaseException as exc:
             failed.append(k)
             if not handoff[k].done():

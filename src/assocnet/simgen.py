@@ -307,12 +307,16 @@ def expand_grid(mapping: dict) -> list[SimConfig]:
     """Expand a config mapping into grid points.
 
     Fields holding lists are swept; the Cartesian product is taken in
-    the order the swept fields appear. Scalar fields are shared.
+    the order the swept fields appear. Scalar fields are shared. An empty
+    list would leave no grid point and is rejected.
     """
     if not isinstance(mapping, dict):
         raise ParameterError("grid must be a JSON object")
     base = dict(mapping)
     swept = [name for name, value in base.items() if isinstance(value, list)]
+    for name in swept:
+        if not base[name]:
+            raise ParameterError(f"grid field {name} sweeps an empty list")
     return [
         SimConfig.from_dict({**base, **dict(zip(swept, point))})
         for point in itertools.product(*(base[name] for name in swept))

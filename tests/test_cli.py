@@ -610,6 +610,15 @@ class TestStudy:
                      "--output-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_empty_sweep_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(GRID, r_gen=[])), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["study", "--grid", str(path), "--repetitions", "1",
+                     "--output-dir", str(out)]) == 2
+        assert "r_gen" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         grid_path, _ = self.write_grid(tmp_path)
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -15,6 +15,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,7 +66,8 @@ def quad_log_slab_density(z, a):
     z = abs(float(z))
 
     def integrand(u):
-        return math.exp(a * z - a * abs(z + u)) * float(norm_pdf(u))
+        # one exponent, so exp(a z) cannot overflow before phi(u) damps it
+        return math.exp(a * z - a * abs(z + u) - 0.5 * u * u) / SQRT_2PI
 
     total = 0.0
     for lo, hi in ((-np.inf, -z), (-z, 0.0), (0.0, np.inf)):
@@ -141,6 +143,12 @@ def sample_mixture_row(n, w, a, rng):
     return mu + rng.standard_normal(n)
 
 
+def kernel_log_ratio(z_abs, a):
+    """log(g / phi) from the fit's kernel, by its closed form where g / phi overflows."""
+    ratio = ebayes._slab_ratio(z_abs, a)[0]
+    return np.where(np.isinf(ratio), ebayes._log_ratio_overflow(z_abs, a), np.log(ratio))
+
+
 # ------------------------------------------------------------ slab density
 
 
@@ -199,11 +207,37 @@ class TestSlabDensity:
         logs = log_laplace_normal_density(z, 0.5)
         assert np.all(np.diff(logs) < 0.0)
 
+    @pytest.mark.parametrize("a", [A_MIN, 0.5, 2.0, A_MAX])
+    def test_slab_ratio_matches_quadrature(self, a):
+        # Bisect for the first |z| at which g / phi overflows.
+        lo, hi = a + 30.0, a + 40.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.isinf(ebayes._slab_ratio(np.array([mid]), a)[0][0]):
+                hi = mid
+            else:
+                lo = mid
+        z = np.concatenate([np.linspace(0.0, 45.0, 31), [lo, hi, 60.0, 100.0, 300.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ratio = ebayes._slab_ratio(z, a)[0]
+            got = kernel_log_ratio(z, a)
+        assert np.isfinite(ratio[z == lo]).all() and np.isinf(ratio[z >= hi]).all()
+        for z_i, got_i in zip(z, got):
+            expected = quad_log_slab_density(z_i, a) + 0.5 * z_i**2 + math.log(SQRT_2PI)
+            assert abs(got_i - expected) <= 1e-13 * max(1.0, abs(expected)), z_i
+
     def test_slope_in_spread_matches_central_difference(self):
         z = np.linspace(0.0, 40.0, 81)[:, None]
         a = np.linspace(A_MIN, A_MAX, 40)[None, :]
-        l_g, slope = ebayes._log_slab_and_slope(z, a, -0.5 * z**2 - math.log(SQRT_2PI))
-        np.testing.assert_array_equal(l_g, log_laplace_normal_density(z, a))
+        ratio, t2 = ebayes._slab_ratio(z, a)
+        assert np.isinf(ratio).any()  # the overflow branch is covered
+        l_g = kernel_log_ratio(z, a) - 0.5 * z**2 - math.log(SQRT_2PI)
+        l_g_log_space = log_laplace_normal_density(z, a)
+        np.testing.assert_array_less(
+            np.abs(l_g - l_g_log_space), 1e-13 * np.maximum(1.0, np.abs(l_g_log_space))
+        )
+        slope = ebayes._slab_slope(z, a, ratio, t2)
         h = 1e-6
         central = (
             log_laplace_normal_density(z, a + h) - log_laplace_normal_density(z, a - h)
@@ -507,13 +541,13 @@ class TestFitting:
     def test_precomputed_slab_densities_give_the_same_fit(self):
         rng = np.random.default_rng(23)
         z = np.vstack([mixed_rows(rng, 60), rng.standard_normal((3, 60)) * 2.0])
-        log_slab = log_laplace_normal_density(np.abs(z), A_DEFAULT)
-        for got, want in zip(fit_rows(z, log_slab=log_slab), fit_rows(z)):
+        beta = ebayes._slab_ratio(np.abs(z), A_DEFAULT)[0] - 1.0
+        for got, want in zip(fit_rows(z, beta=beta), fit_rows(z)):
             np.testing.assert_array_equal(got, want)
         with pytest.raises(ParameterError):
-            fit_rows(z, estimate_a=True, log_slab=log_slab)
+            fit_rows(z, estimate_a=True, beta=beta)
         with pytest.raises(InvalidInputError):
-            fit_rows(z, log_slab=log_slab[:, 1:])
+            fit_rows(z, beta=beta[:, 1:])
 
     def test_single_score_rows_pin_weight_at_one(self):
         w, _, _ = fit_rows(np.array([[3.0], [0.0]]))
@@ -618,6 +652,34 @@ class TestScoreRoot:
         # the batch mixes rows settled at once with rows that need more steps
         assert min(steps) == 0 and max(steps) >= 5
 
+    def test_settled_rows_are_dropped_from_the_steps(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        z = np.vstack([np.zeros((3, 257)), np.full((2, 257), 9.0), mixed_rows(rng, 257)])
+        rows = z.shape[0]
+        a = np.full(rows, A_DEFAULT)
+        c = inv_beta(z, a)
+        lo = weight_lower_bound(257, a)
+        sizes = []  # rows in each Newton step's S' sum
+        einsum = np.einsum
+
+        def counting_einsum(subscripts, *operands):
+            sizes.append(operands[0].shape[0])
+            return einsum(subscripts, *operands)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "einsum", counting_einsum)
+            batch = ebayes._score_root(c, lo)
+        assert np.all(batch[:3] == lo[:3]) and np.all(batch[3:5] == 1.0)
+        # The steps start on the live rows alone and gather again at least twice.
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] < rows - 5 and len(set(sizes)) >= 3
+        for i in range(rows):
+            assert ebayes._score_root(c[i:i + 1], lo[i:i + 1])[0] == batch[i]
+        with monkeypatch.context() as patch:
+            patch.setattr(ebayes, "_HALVINGS", 2)
+            with pytest.raises(ConvergenceError, match=rf"in \d+ of {rows} rows"):
+                ebayes._score_root(c, lo)
+
     def test_every_row_of_a_simulated_matrix_settles_within_twelve_steps(
         self, monkeypatch
     ):
@@ -656,9 +718,9 @@ def profile_passes(monkeypatch, z):
     passes = []
     unpatched = ebayes._profile_with_slope
 
-    def counting(z_abs, l_phi, a):
+    def counting(z_abs, log_phi_sum, a):
         passes.append(a.size)
-        return unpatched(z_abs, l_phi, a)
+        return unpatched(z_abs, log_phi_sum, a)
 
     with monkeypatch.context() as patch:
         patch.setattr(ebayes, "_profile_with_slope", counting)
@@ -688,7 +750,8 @@ class TestSpreadSearch:
         h = 1e-5
         a = np.array([a_value - h, a_value, a_value + h])
         z_abs = np.tile(np.abs(row), (3, 1))
-        w, ll, slope = ebayes._profile_with_slope(z_abs, -0.5 * z_abs**2 - math.log(SQRT_2PI), a)
+        log_phi_sum = (-0.5 * z_abs**2 - math.log(SQRT_2PI)).sum(axis=1)
+        w, ll, slope = ebayes._profile_with_slope(z_abs, log_phi_sum, a)
         lo = weight_lower_bound(100, a)
         at = {"floor": w == lo, "one": w == 1.0, "interior": (w > lo) & (w < 1.0)}[case]
         assert np.all(at)
@@ -717,12 +780,11 @@ class TestSpreadSearch:
         grid = np.linspace(A_MIN, A_MAX, 2001)
         for i, row in enumerate(rows):
             z_abs = np.tile(np.abs(row), (grid.size, 1))
-            l_phi = -0.5 * z_abs**2 - math.log(SQRT_2PI)
-            _, l_mix = ebayes._weights_and_mixture(
-                log_laplace_normal_density(z_abs, grid[:, None]), l_phi,
-                weight_lower_bound(row.size, grid),
-            )
-            assert ll_hat[i] >= l_mix.sum(axis=1).max() - 1e-7
+            beta = ebayes._slab_ratio(z_abs, grid[:, None])[0] - 1.0
+            w, w_beta = ebayes._weights(beta, weight_lower_bound(row.size, grid))
+            log_phi_sum = (-0.5 * z_abs**2 - math.log(SQRT_2PI)).sum(axis=1)
+            ll = ebayes._loglik(w_beta, z_abs, w, grid, log_phi_sum)
+            assert ll_hat[i] >= ll.max() - 1e-7
             assert ll_hat[i] == pytest.approx(marginal_loglik(row, w_hat[i], a_hat[i]), abs=1e-9)
             assert A_MIN <= a_hat[i] <= A_MAX
 
@@ -749,7 +811,7 @@ class TestSpreadSearch:
         def profile(a, p):
             return -((a - 2.0) ** 2) + 0.3 * np.sin(40.0 * a + p)
 
-        def wiggly_profile(z_abs, l_phi, a):
+        def wiggly_profile(z_abs, log_phi_sum, a):
             p = z_abs[:, 0]
             slope = -2.0 * (a - 2.0) + 12.0 * np.cos(40.0 * a + p)
             return np.full(a.shape, 0.5), profile(a, p), slope
@@ -910,18 +972,18 @@ class TestInferAdjacency:
             # The one-row fit behind fit_row, which needs two scores (m = 2 has one).
             w, a, ll = fit_rows(np.delete(assoc.z[i], i)[None, :])
             assert (fit_one.w[i], fit_one.a[i], fit_one.loglik[i]) == (w[0], a[0], ll[0])
-        density = ebayes.log_laplace_normal_density
+        slab_ratio = ebayes._slab_ratio
         evaluated = []
 
-        def counting_density(z, a):
-            evaluated.append(np.size(z))
-            return density(z, a)
+        def counting_slab_ratio(z_abs, a):
+            evaluated.append(np.size(z_abs))
+            return slab_ratio(z_abs, a)
 
         # Uneven blocks of about three rows, then one-row blocks.
         for entries in (3 * m + 1, m):
             with monkeypatch.context() as patch:
                 patch.setattr(ebayes, "_BLOCK_ENTRIES", entries)
-                patch.setattr(ebayes, "log_laplace_normal_density", counting_density)
+                patch.setattr(ebayes, "_slab_ratio", counting_slab_ratio)
                 for threads in (1, 2, 3):
                     evaluated.clear()
                     adj, fit = infer_adjacency(assoc, threads=threads)
@@ -963,13 +1025,13 @@ class TestInferAdjacency:
             monkeypatch.setattr(ebayes, "_score_root", failing_score_root)
             expected = ConvergenceError
         else:
-            density = ebayes.log_laplace_normal_density
+            slab_ratio = ebayes._slab_ratio
             second_block_started = threading.Event()
 
-            def failing_density(z, a):
+            def failing_slab_ratio(z_abs, a):
                 # The first block's strip spans every column; the last
                 # block's spans only its own rows' columns.
-                rows, cols = np.shape(z)
+                rows, cols = np.shape(z_abs)
                 if failing == "first-density" and cols == m:
                     if threads > 1:  # fail only once the next block waits on this one
                         second_block_started.wait(10)
@@ -977,9 +1039,9 @@ class TestInferAdjacency:
                 second_block_started.set()
                 if failing == "last-density" and cols == rows:
                     raise RuntimeError("injected")
-                return density(z, a)
+                return slab_ratio(z_abs, a)
 
-            monkeypatch.setattr(ebayes, "log_laplace_normal_density", failing_density)
+            monkeypatch.setattr(ebayes, "_slab_ratio", failing_slab_ratio)
             expected = RuntimeError
         outcome = []
 
