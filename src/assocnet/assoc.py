@@ -20,7 +20,7 @@ P_MIN = 1e-15
 
 _KINDS = ("covariance", "correlation", "pvalue")
 _ORIGINS = ("fisher", "inverse-normal")
-_TILE = 64  # rows and columns per tile of symmetrize_in_place (32 KiB)
+_TILE = 64  # rows and columns per tile of _mirror_tiles (32 KiB of float64)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SymmetricMatrix:
             raise ParameterError(f"unknown matrix kind: {self.kind!r}")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("matrix entries must be finite")
-        if not np.array_equal(values, values.T):
+        if not is_symmetric(values):
             raise InvalidInputError("matrix must be symmetric")
         diag = np.diag(values)
         if self.kind == "correlation":
@@ -85,7 +85,7 @@ class AssocMatrix:
             raise ParameterError(f"unknown score origin: {self.origin!r}")
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("scores must be finite")
-        if not np.array_equal(z, z.T):
+        if not is_symmetric(z):
             raise InvalidInputError("score matrix must be symmetric")
         if np.any(np.diag(z) != 0.0):
             raise InvalidInputError("score diagonal must be zero")
@@ -137,6 +137,26 @@ def correlation_from_covariance(cov: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(corr, "correlation")
 
 
+def _mirror_tiles(x: np.ndarray):
+    """Yield (upper, lower, diagonal) for each pair of mirror tiles of a square x.
+
+    upper is x[I, J] and lower is x[J, I] for a tile row I and a tile
+    column J at or right of it, in row order; on the diagonal (I == J)
+    both view the same tile. Walking these pairs keeps every temporary
+    tile-sized, where an operation with the whole x.T would make an
+    m x m one.
+    """
+    m = x.shape[0]
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            yield x[i : i + _TILE, j : j + _TILE], x[j : j + _TILE, i : i + _TILE], i == j
+
+
+def is_symmetric(x: np.ndarray) -> bool:
+    """x == x.T entry for entry, compared one pair of mirror tiles at a time."""
+    return all(np.array_equal(upper, lower.T) for upper, lower, _ in _mirror_tiles(x))
+
+
 def symmetrize_in_place(x: np.ndarray, scale: float) -> None:
     """In place: x = (x + x.T) * scale, one pair of mirror tiles at a time.
 
@@ -145,15 +165,20 @@ def symmetrize_in_place(x: np.ndarray, scale: float) -> None:
     numpy's buffers for strided operands). Addition commutes, so (i, j)
     and (j, i) get the same bytes.
     """
-    m = x.shape[0]
-    for i in range(0, m, _TILE):
-        for j in range(i, m, _TILE):
-            upper = x[i : i + _TILE, j : j + _TILE]
-            lower = x[j : j + _TILE, i : i + _TILE]
-            upper += lower.T
-            upper *= scale
-            if j > i:  # a diagonal tile is already symmetric here
-                lower[...] = upper.T
+    for upper, lower, diagonal in _mirror_tiles(x):
+        upper += lower.T
+        upper *= scale
+        if not diagonal:  # a diagonal tile is already symmetric here
+            lower[...] = upper.T
+
+
+def mirror_upper_in_place(x: np.ndarray) -> None:
+    """In place: copy the strict upper triangle of x onto the lower one."""
+    for upper, lower, diagonal in _mirror_tiles(x):
+        if diagonal:
+            np.copyto(upper, upper.T, where=np.tri(upper.shape[0], k=-1, dtype=bool))
+        else:
+            lower[...] = upper.T
 
 
 def _symmetrize_zero_diagonal(z: np.ndarray) -> None:

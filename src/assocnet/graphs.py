@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .assoc import is_symmetric
 from .errors import InvalidInputError
 
 
@@ -56,7 +57,7 @@ class SparseAdjacency:
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise InvalidInputError("adjacency matrix must be square")
-        if not np.array_equal(dense, dense.T):
+        if not is_symmetric(dense):
             raise InvalidInputError("adjacency matrix must be symmetric")
         if np.any(np.diag(dense) != 0):
             raise InvalidInputError("adjacency diagonal must be zero")

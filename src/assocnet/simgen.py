@@ -15,7 +15,12 @@ between-community density approximately 0.0013.
 
 Every operation draws from seed-derived substreams keyed by purpose and
 row, so results are independent of iteration order and identical for a
-given seed.
+given seed. Row i of a purpose draws from
+default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, i))); the
+per-row generators are seeded in one vectorized pass (_substreams) that
+reproduces that state exactly. Chi-square draws are taken as
+2 * standard_gamma(df / 2), which is how numpy draws them, so every
+simulated value equals a chisquare-based draw bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ import dataclasses
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .assoc import SymmetricMatrix, fisher_z
+from .assoc import SymmetricMatrix, fisher_z, mirror_upper_in_place
 from .community import SpectralConfig, detect_communities, spectral_on_continuous
 from .ebayes import infer_adjacency
 from .errors import InvalidInputError, ParameterError
@@ -48,6 +54,15 @@ _STREAM_WISHART = 3
 _STREAM_DETECT = 4
 
 _INTEGER_FIELDS = ("m", "k", "community_size", "nu", "seed")
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
+# PCG64 state multiplier; numpy keeps both stream-stable.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_DRAW_BLOCK = 1 << 17  # most pairs per generate_correlations block (1 MiB a buffer)
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,78 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _uint32_words(value: int) -> list[int]:
+    """value as little-endian 32-bit words, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _substreams(seed: int, stream: int, rows):
+    """Yield for each i in rows a Generator in the state of
+    default_rng(SeedSequence(entropy=seed, spawn_key=(stream, i))).
+
+    The SeedSequence hash and the PCG64 seeding run once, vectorized over
+    the rows (each below 2**32), and every yield re-seeds the same
+    Generator, so a row's draws must be done before the next row is taken.
+    """
+    u32 = np.uint32
+    rows = np.asarray(rows, dtype=u32)
+    seed_words = _uint32_words(seed)
+    # The entropy pads the seed to the pool size when a spawn key follows.
+    prefix = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(stream)
+    words = [np.full(rows.shape, w, dtype=u32) for w in prefix] + [rows]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        value = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return value ^ (value >> u32(16))
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, paired little-endian.
+    const, state = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ u32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * u32(const)
+        state.append((value ^ (value >> u32(16))).astype(object))
+    init_state = state[1] << 96 | state[0] << 64 | state[3] << 32 | state[2]
+    init_seq = state[5] << 96 | state[4] << 64 | state[7] << 32 | state[6]
+    # PCG64's seeding: inc = 2 * seq + 1, then two steps around adding
+    # the initial state.
+    inc = (init_seq << 1 | 1) & _MASK128
+    pcg_state = ((inc + init_state) * _PCG_MULT + inc) & _MASK128
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for value, increment in zip(pcg_state, inc):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": value, "inc": increment},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def derive_seed(seed: int, *key: int) -> int:
     """A stable integer sub-seed for downstream components."""
     return int(
@@ -185,7 +272,7 @@ def generate_network(
 
     theta_ij is theta_in when i and j share a planted (nonzero) label
     and theta_out otherwise. Each unordered pair is drawn once from a
-    per-row substream and mirrored.
+    per-row substream.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.size
@@ -193,12 +280,12 @@ def generate_network(
         raise InvalidInputError("alpha and partition must agree on m")
     labels = partition.labels
     rows, cols = [], []
-    for i in range(m - 1):
+    for i, rng in enumerate(_substreams(seed, _STREAM_NETWORK, range(m - 1))):
         rest = np.arange(i + 1, m)
         same = (labels[rest] == labels[i]) & (labels[i] > 0)
         theta = np.where(same, theta_in, theta_out)
         p = expit(alpha[i] + alpha[rest] + theta)
-        hits = _rng(seed, _STREAM_NETWORK, i).random(m - 1 - i) < p
+        hits = rng.random(m - 1 - i) < p
         chosen = rest[hits]
         rows.append(np.full(chosen.size, i, dtype=np.int64))
         cols.append(chosen)
@@ -219,30 +306,67 @@ def generate_correlations(
     correlation reduces to y / sqrt(y^2 + s^2 c2^2) where y = r c1 +
     s n, s = sqrt(1 - r^2), c1^2 ~ chi2(nu), c2^2 ~ chi2(nu - 1),
     n ~ N(0, 1). The diagonal is set to 0 by convention.
+
+    Row i's pairs (i, j > i) come from row i's substream. Whole rows are
+    drawn into block buffers of about min(m^2 / 32, 2^17) pairs, worked
+    through in place, written to the upper triangle, and mirrored once.
     """
     if not 0.0 < r_gen <= 1.0:
         raise ParameterError("r_gen must lie in (0, 1]")
     if nu < 4:
         raise ParameterError("nu must be at least 4")
-    m = adj.m
-    # Canonical edges are sorted by their first endpoint, so row i's
-    # neighbours j > i are edges[bounds[i]:bounds[i + 1], 1].
-    bounds = np.searchsorted(adj.edges[:, 0], np.arange(m + 1))
-    values = np.zeros((m, m))
-    for i in range(m - 1):
-        rng = _rng(seed, _STREAM_WISHART, i)
-        width = m - 1 - i
-        c1 = np.sqrt(rng.chisquare(nu, width))
-        c2 = np.sqrt(rng.chisquare(nu - 1, width))
-        noise = rng.standard_normal(width)
-        r = np.zeros(width)
-        r[adj.edges[bounds[i] : bounds[i + 1], 1] - (i + 1)] = r_gen
-        s = np.sqrt(1.0 - r * r)
-        y = r * c1 + s * noise
-        r_hat = y / np.sqrt(y * y + s * s * c2 * c2)
-        values[i, i + 1 :] = r_hat
-        values[i + 1 :, i] = r_hat
+    values = np.zeros((adj.m, adj.m))
+    _draw_upper_correlations(values, adj, r_gen, nu, seed)
+    mirror_upper_in_place(values)
     return SymmetricMatrix(values, "correlation")
+
+
+def _draw_upper_correlations(values, adj, r_gen, nu, seed) -> None:
+    """Fill the strict upper triangle of values for generate_correlations."""
+    m = adj.m
+    # Row i's pairs sit at offsets[i]:offsets[i + 1] of the packed upper
+    # triangle. Canonical edges are sorted by their first endpoint, so row
+    # i's edges are edges[bounds[i]:bounds[i + 1]].
+    offsets = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
+    bounds = np.searchsorted(adj.edges[:, 0], np.arange(m + 1))
+    capacity = max(m - 1, min(m * m // 32, _DRAW_BLOCK))
+    buffers = [np.empty(capacity) for _ in range(4)]
+    streams = _substreams(seed, _STREAM_WISHART, range(m - 1))
+    start = 0
+    while start < m - 1:
+        base = offsets[start]
+        stop = int(np.searchsorted(offsets, base + capacity, side="right")) - 1
+        n = offsets[stop] - base
+        c1, c2, noise, r = (buffer[:n] for buffer in buffers)
+        for i, rng in zip(range(start, stop), streams):
+            row = slice(offsets[i] - base, offsets[i + 1] - base)
+            rng.standard_gamma(nu / 2, out=c1[row])
+            rng.standard_gamma((nu - 1) / 2, out=c2[row])
+            rng.standard_normal(out=noise[row])
+        r[:] = 0.0
+        edges = adj.edges[bounds[start] : bounds[stop]]
+        r[offsets[edges[:, 0]] - base + edges[:, 1] - edges[:, 0] - 1] = r_gen
+        # The Bartlett arithmetic in place, in the operation order of
+        # y = r c1 + s n and y / sqrt(y y + s s c2 c2).
+        for c in (c1, c2):
+            c *= 2.0  # chi2(df) = 2 gamma(df / 2)
+            np.sqrt(c, out=c)
+        y = np.multiply(c1, r, out=c1)
+        s = np.multiply(r, r, out=r)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)
+        noise *= s
+        y += noise
+        s *= s
+        s *= c2
+        s *= c2
+        denominator = np.multiply(y, y, out=noise)
+        denominator += s
+        np.sqrt(denominator, out=denominator)
+        y /= denominator
+        for i in range(start, stop):
+            values[i, i + 1 :] = y[offsets[i] - base : offsets[i + 1] - base]
+        start = stop
 
 
 def generate_ground_truth(config: SimConfig) -> GroundTruth:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from assocnet import assoc
 from assocnet.assoc import (
     AssocMatrix,
     P_MIN,
@@ -17,6 +18,8 @@ from assocnet.assoc import (
     correlation_from_covariance,
     covariance_matrix,
     fisher_z,
+    is_symmetric,
+    mirror_upper_in_place,
     pvalues_to_z,
 )
 from assocnet.errors import (
@@ -405,3 +408,47 @@ class TestCovarianceTransformsInPlace:
         assert np.array_equal(corr.values, self.old_correlation(before))
         assert np.array_equal(cov.values, before)
         assert peak < 1.2 * before.nbytes
+
+
+class TestMirrorTiles:
+    """is_symmetric and mirror_upper_in_place walk mirror tiles.
+
+    Oracle: the whole-matrix expressions x == x.T and triu + triu.T.
+    """
+
+    T = assoc._TILE
+
+    @pytest.mark.parametrize(
+        "m, i, j",
+        [
+            (2 * T + 37, 3, 5),  # inside a diagonal tile
+            (2 * T + 37, 5, T + 9),  # an off-diagonal tile
+            (2 * T + 37, 1, 2 * T + 20),  # the last, partial, tile column
+            (2 * T + 37, 2 * T + 1, 2 * T + 30),  # the last diagonal tile
+            (7, 6, 2),  # m smaller than a tile
+        ],
+    )
+    def test_one_flipped_entry_is_caught(self, m, i, j):
+        values = _symmetric_uniform(np.random.default_rng(m), m, -1.0, 1.0, 1.0)
+        assert is_symmetric(values)
+        values[i, j] = np.nextafter(values[i, j], 2.0)
+        assert not is_symmetric(values)
+        assert not is_symmetric(values.T)
+        with pytest.raises(InvalidInputError):
+            SymmetricMatrix(values, "correlation")
+
+    def test_single_entry_and_integer_matrices(self):
+        assert is_symmetric(np.zeros((1, 1)))
+        dense = np.zeros((self.T + 3, self.T + 3), dtype=np.int8)
+        dense[2, self.T + 1] = 1
+        assert not is_symmetric(dense)
+        dense[self.T + 1, 2] = 1
+        assert is_symmetric(dense)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, T + 1, 2 * T + 37])
+    def test_mirror_copies_the_upper_triangle(self, m):
+        values = np.random.default_rng(m).standard_normal((m, m))
+        upper = np.triu(values, 1)
+        mirror_upper_in_place(values)
+        np.fill_diagonal(values, 0.0)
+        assert np.array_equal(values, upper + upper.T)

@@ -850,6 +850,39 @@ def _random_assoc(rng, m, scale=2.0):
     return AssocMatrix(z, "inverse-normal", None)
 
 
+class TestFixedBeta:
+    """_fixed_beta evaluates the ratios in |z| order and returns them in
+    matrix order. Oracle: _slab_ratio on the unsorted rows."""
+
+    @staticmethod
+    def oracle(z_abs):
+        return ebayes._slab_ratio(z_abs, ebayes.A_DEFAULT)[0] - 1.0
+
+    def test_bit_identical_to_the_unsorted_ratio(self):
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((9, 301)) * 3.0
+        z[0, :50] = 1.25  # ties
+        z[1, ::3] = 0.0
+        z[2, :40] = rng.uniform(40.0, 60.0, 40)  # beta overflows to inf
+        z[3, :20] = 16.0 + rng.random(20)  # ties in the saturated key
+        z[4] = np.nextafter(1.0, 2.0) * np.repeat([1.0, 0.5, 2.0], [100, 100, 101])
+        z_abs = np.abs(z)
+        beta = ebayes._fixed_beta(z_abs)
+        assert np.isinf(beta[2, :40]).all()
+        assert np.array_equal(beta, self.oracle(z_abs))
+
+    def test_rows_one_entry_wide(self):
+        z_abs = np.array([[0.0], [3.5], [45.0], [0.25]])
+        assert np.array_equal(ebayes._fixed_beta(z_abs), self.oracle(z_abs))
+
+    def test_fit_rows_uses_the_same_ratios(self):
+        z = np.random.default_rng(22).standard_normal((6, 80)) * 2.0
+        direct = fit_rows(z)
+        given = fit_rows(z, beta=self.oracle(np.abs(z)))
+        for mine, theirs in zip(direct, given):
+            assert np.array_equal(mine, theirs)
+
+
 class TestInferAdjacency:
     def test_symmetric_zero_diagonal_fuzz(self):
         rng = np.random.default_rng(19)

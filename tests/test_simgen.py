@@ -13,12 +13,17 @@ Oracles used here:
   (sums of outer products of correlated normal pairs), compared to the
   module's Bartlett-decomposition sampler by two-sample KS;
 * the binomial law of edge counts when every pair shares one inclusion
-  probability.
+  probability;
+* numpy's own default_rng(SeedSequence(entropy=seed, spawn_key=key)) for
+  the vectorized substream seeding, and sha256 digests of generated
+  networks and correlations pinned from the per-row default_rng sampler
+  it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -391,6 +396,65 @@ class TestGenerateCorrelations:
                 generate_correlations(adj, bad_r, 20, 0)
         with pytest.raises(ParameterError):
             generate_correlations(adj, 0.5, 3, 0)
+
+
+class TestSubstreams:
+    """_substreams(seed, stream, rows) reproduces numpy's seeding per row."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1])
+    @pytest.mark.parametrize("stream", [simgen._STREAM_NETWORK, simgen._STREAM_WISHART])
+    def test_draws_match_numpy_seeding(self, seed, stream):
+        rows = [0, 1, 2, 255, 65536, 70001]
+        for row, rng in zip(rows, simgen._substreams(seed, stream, rows)):
+            oracle = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(stream, row))
+            )
+            for draw in (
+                lambda g: g.random(3),
+                lambda g: g.standard_gamma(2.5, size=3),
+                lambda g: g.standard_normal(3),
+                lambda g: g.integers(0, 2**40, size=2),
+            ):
+                assert np.array_equal(draw(rng), draw(oracle)), (seed, stream, row)
+
+    def test_negative_seed_raises_like_seed_sequence(self):
+        adj = complete_graph(4)
+        with pytest.raises(ValueError):
+            generate_correlations(adj, 0.5, 20, -1)
+        with pytest.raises(ValueError):
+            generate_network(np.zeros(4), Partition(np.zeros(4, dtype=np.int64), 1), 1.0, 1.0, -1)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedDraws:
+    """Generated bytes match digests pinned from the per-row default_rng
+    sampler with chisquare draws, so seeded datasets never move."""
+
+    @pytest.mark.parametrize(
+        "overrides, truth_digest, corr_digest",
+        [
+            # m = 2 with its one pair an edge at r_gen = 1
+            (dict(m=2, k=1, community_size=2, theta_in=80.0, r_gen=1.0, nu=20, seed=5),
+             "ef43e7dde3b4292c", "c9a2fb79c96caefa"),
+            (dict(m=40, k=2, community_size=10, r_gen=0.6, seed=2**32 + 17),
+             "736115620fa1f1eb", "5cf1995dc16a1983"),
+            # many draw blocks
+            (dict(m=300, k=3, community_size=60, nu=12, seed=7),
+             "05f6ed8c6bbf46cb", "8a42e34bab08ca46"),
+        ],
+    )
+    def test_bytes_match_the_pinned_digests(self, overrides, truth_digest, corr_digest):
+        config = small_config(**overrides)
+        truth = generate_ground_truth(config)
+        corr = generate_correlations(truth.adjacency, config.r_gen, config.nu, config.seed)
+        assert _digest(truth.alpha, truth.partition.labels, truth.adjacency.edges) == truth_digest
+        assert _digest(corr.values) == corr_digest
 
 
 class TestSimConfig:
