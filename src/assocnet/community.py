@@ -24,6 +24,8 @@ DENSE_CUTOFF = 32
 # Eigenpairs asked for by the first eigengap solve; doubled while a later
 # gap could still be the largest (see select_num_communities).
 EIGENGAP_FIRST_REQUEST = 24
+# Entries per row block when spectral_on_continuous sums |r| by rows.
+_DEGREE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,9 @@ def _regularized_laplacian(weights, degrees, tau):
     """Symmetrically scale a weight matrix by 1/sqrt(degree + tau).
 
     Returns (L, tau_value). Rows whose regularized degree is zero are
-    scaled by zero rather than dividing by it.
+    scaled by zero rather than dividing by it. A dense matrix is read
+    as |weights| with a zero diagonal, built in L, the one new matrix;
+    the caller's array is left as it is.
     """
     tau_value = float(np.mean(degrees)) if tau == "auto" else float(tau)
     reg = degrees + tau_value
@@ -70,7 +74,9 @@ def _regularized_laplacian(weights, degrees, tau):
         lap = diag @ weights @ diag
         lap = (lap + lap.T) * 0.5
         return lap.tocsr(), tau_value
-    lap = np.multiply(scale[:, None], weights, order="C")
+    lap = np.abs(weights, dtype=np.float64, order="C")
+    np.fill_diagonal(lap, 0.0)
+    lap *= scale[:, None]
     lap *= scale[None, :]
     symmetrize_in_place(lap, 0.5)
     return lap, tau_value
@@ -126,75 +132,88 @@ def _embed(weights, degrees, config: SpectralConfig, k: int):
     return vecs, vals, tau_value
 
 
-def _kmeans_plusplus(points, k, rng):
-    """k-means++ seeding; duplicates the first pick when points coincide.
+def _kmeans_plusplus(columns, k, rng):
+    """k-means++ seeding on a (d, m) embedding; returns (k, d) centroids.
 
-    Each pick updates the running squared distance to the nearest chosen
-    point through one m x d and one m-sized buffer.
+    Duplicates the first pick when points coincide. Each pick updates
+    the running squared distance to the nearest chosen point through one
+    d x m and one m-sized buffer, and draws the next point by the rule
+    of Generator.choice(m, p=d2 / total): the cumulative sum of p,
+    divided by its last entry, searched for one rng.random() draw.
     """
-    m = points.shape[0]
+    m = columns.shape[1]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(m)
-    diff = np.empty_like(points)
+    diff = np.empty_like(columns)
     dist = np.empty(m)
     d2 = np.full(m, np.inf)
     for idx in range(1, k):
-        np.subtract(points, points[chosen[idx - 1]], out=diff)
+        np.subtract(columns, columns[:, chosen[idx - 1], None], out=diff)
         np.square(diff, out=diff)
-        np.sum(diff, axis=1, out=dist)
+        np.sum(diff, axis=0, out=dist)
         np.minimum(d2, dist, out=d2)
         total = d2.sum()
         if total <= 0.0:
             chosen[idx] = chosen[0]
         else:
-            chosen[idx] = rng.choice(m, p=d2 / total)
-    return points[chosen].copy()
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            chosen[idx] = cdf.searchsorted(rng.random(), side="right")
+    return columns[:, chosen].T.copy()
 
 
 def _lloyd(points, k, rng, max_iter=300):
-    """One seeded k-means run; returns (labels, wcss, iterations).
+    """One seeded k-means run on (m, d) points; returns (labels, wcss, iterations).
 
-    Ties in the assignment step go to the lowest-index centroid. An
-    empty cluster is re-seeded at the point farthest from its assigned
-    centroid; when every distance is zero it is left empty. Squared
-    distances are |x|^2 - (2x).c + |c|^2 in one m x k buffer. Cluster
-    sums come from one bincount per embedding column, which adds each
-    cell's points in increasing point order, starting from 0.0.
+    The work runs on the transposed (d, m) embedding, so every step is
+    m long. Ties in the assignment step go to the lowest-index centroid.
+    An empty cluster is re-seeded at the point farthest from its
+    assigned centroid; when every distance is zero it is left empty.
+    Squared distances are |x|^2 - c.(2x) + |c|^2 in one k x m buffer.
+    Cluster sums come from one bincount over (column, cluster) cells,
+    which adds each cell's points in increasing point order, from 0.0.
     """
-    m = points.shape[0]
-    centroids = _kmeans_plusplus(points, k, rng)
-    labels = None
-    sq_points = np.square(points).sum(axis=1)[:, None]
-    twice = 2.0 * points
+    m, d = points.shape
     columns = np.ascontiguousarray(points.T)
-    sums = np.empty((k, points.shape[1]))
-    d2 = np.empty((m, k))
+    centroids = _kmeans_plusplus(columns, k, rng)
+    labels = None
+    sq_points = np.square(points).sum(axis=1)
+    twice = 2.0 * columns
+    cells = np.empty((d, m), dtype=np.int64)
+    offsets = np.arange(0, d * k, k)[:, None]
+    d2 = np.empty((k, m))
+    best = np.empty(m)
+    closer = np.empty(m, dtype=bool)
     for iteration in range(max_iter):
-        np.matmul(twice, centroids.T, out=d2)
+        np.matmul(centroids, twice, out=d2)
         np.subtract(sq_points, d2, out=d2)
-        d2 += np.square(centroids).sum(axis=1)[None, :]
+        d2 += np.square(centroids).sum(axis=1)[:, None]
         np.maximum(d2, 0.0, out=d2)
-        new_labels = d2.argmin(axis=1)
+        new_labels = np.zeros(m, dtype=np.int64)
+        best[:] = d2[0]
+        for cluster in range(1, k):
+            np.less(d2[cluster], best, out=closer)
+            new_labels[closer] = cluster
+            np.minimum(best, d2[cluster], out=best)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
 
-        for j, column in enumerate(columns):
-            sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+        np.add(labels, offsets, out=cells)
+        sums = np.bincount(cells.ravel(), weights=columns.ravel(), minlength=d * k)
         counts = np.bincount(labels, minlength=k)
         occupied = counts > 0
         centroids = np.where(
-            occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids
+            occupied[:, None], sums.reshape(d, k).T / np.maximum(counts, 1)[:, None], centroids
         )
         if not occupied.all():
-            assigned_d2 = d2[np.arange(m), labels]
-            farthest = np.argsort(-assigned_d2, kind="stable")
+            farthest = np.argsort(-best, kind="stable")
             cursor = 0
             for cluster in np.flatnonzero(~occupied):
-                if cursor < m and assigned_d2[farthest[cursor]] > 0.0:
+                if cursor < m and best[farthest[cursor]] > 0.0:
                     centroids[cluster] = points[farthest[cursor]]
                     cursor += 1
-    wcss = float(d2[np.arange(m), labels].sum())
+    wcss = float(best.sum())
     return labels, wcss, iteration + 1
 
 
@@ -203,8 +222,10 @@ def _kmeans_runs(points, k, restarts, seed):
 
     Returns (labels, best_wcss, all_wcss, all_iterations), the last two
     with one entry per restart; an iteration count of 300 means that
-    restart stopped at the cap without converging.
+    restart stopped at the cap without converging. The points are made
+    C-contiguous once, so every restart sums the same rows alike.
     """
+    points = np.ascontiguousarray(points)
     streams = np.random.SeedSequence(seed).spawn(restarts)
     best_labels, best_wcss, all_wcss, all_iterations = None, np.inf, [], []
     for stream in streams:
@@ -315,16 +336,32 @@ def detect_communities(adj: SparseAdjacency, config: SpectralConfig) -> Partitio
     return partition
 
 
+def _absolute_row_sums(values):
+    """Row sums of |values| with the diagonal left out, by row blocks.
+
+    Each block is one small copy, summed as the whole |values| matrix
+    would be, so the sums are the same to the bit.
+    """
+    m = values.shape[0]
+    rows = max(1, _DEGREE_BLOCK // m)
+    sums = np.empty(m)
+    for first in range(0, m, rows):
+        block = np.abs(values[first : first + rows])
+        block[np.arange(block.shape[0]), np.arange(first, first + block.shape[0])] = 0.0
+        block.sum(axis=1, out=sums[first : first + rows])
+    return sums
+
+
 def spectral_on_continuous(corr: SymmetricMatrix, config: SpectralConfig) -> Partition:
     """Cluster directly on |r| without thresholding (comparison baseline).
 
     Uses the same regularized embedding and k-means, but on the dense
     nonnegative matrix of absolute correlations with a zero diagonal.
+    That matrix exists only as the scaled Laplacian, the one m x m
+    array this call allocates.
     """
     if corr.kind != "correlation":
         raise InvalidInputError("expected a correlation matrix")
-    weights = np.abs(np.asarray(corr.values, dtype=np.float64))
-    np.fill_diagonal(weights, 0.0)
-    degrees = weights.sum(axis=1)
-    partition, _ = _detect_on_weights(weights, degrees, config)
+    degrees = _absolute_row_sums(corr.values)
+    partition, _ = _detect_on_weights(corr.values, degrees, config)
     return partition

@@ -69,11 +69,7 @@ class SparseAdjacency:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.m)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.m), dtype=np.int8)
@@ -83,11 +79,16 @@ class SparseAdjacency:
         return out
 
     def to_csr(self) -> sp.csr_matrix:
+        """Symmetric float64 CSR matrix, built from the upper triangle.
+
+        Canonical edges are the upper triangle's entries in row-major
+        order, so they are its CSR indices as they stand.
+        """
         e = self.edges
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(rows.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.m, self.m))
+        indptr = np.searchsorted(e[:, 0], np.arange(self.m + 1))
+        data = np.ones(e.shape[0], dtype=np.float64)
+        upper = sp.csr_matrix((data, e[:, 1], indptr), shape=(self.m, self.m))
+        return upper + upper.T
 
     def pair_ids(self) -> np.ndarray:
         """Linear ids i*m + j of the canonical edge pairs, for set algebra."""

@@ -281,12 +281,13 @@ def generate_network(
     labels = partition.labels
     rows, cols = [], []
     for i, rng in enumerate(_substreams(seed, _STREAM_NETWORK, range(m - 1))):
-        rest = np.arange(i + 1, m)
-        same = (labels[rest] == labels[i]) & (labels[i] > 0)
-        theta = np.where(same, theta_in, theta_out)
-        p = expit(alpha[i] + alpha[rest] + theta)
+        if labels[i] > 0:
+            theta = np.where(labels[i + 1 :] == labels[i], theta_in, theta_out)
+        else:
+            theta = theta_out
+        p = expit(alpha[i] + alpha[i + 1 :] + theta)
         hits = rng.random(m - 1 - i) < p
-        chosen = rest[hits]
+        chosen = np.flatnonzero(hits) + (i + 1)
         rows.append(np.full(chosen.size, i, dtype=np.int64))
         cols.append(chosen)
     edges = np.column_stack(

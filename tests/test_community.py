@@ -366,6 +366,55 @@ class TestKmeans:
         assert any(reseeds)
         self.assert_matches_reference(monkeypatch, points, 3, restarts=6)
 
+    @staticmethod
+    def choice_seeding(columns, k, rng):
+        """k-means++ seeding on the same distances, each pick drawn by rng.choice."""
+        m = columns.shape[1]
+        chosen = np.empty(k, dtype=np.int64)
+        chosen[0] = rng.integers(m)
+        d2 = np.full(m, np.inf)
+        for idx in range(1, k):
+            dist = np.square(columns - columns[:, chosen[idx - 1], None]).sum(axis=0)
+            d2 = np.minimum(d2, dist)
+            total = d2.sum()
+            chosen[idx] = chosen[0] if total <= 0.0 else rng.choice(m, p=d2 / total)
+        return columns[:, chosen].T
+
+    def test_seeding_draws_as_generator_choice(self):
+        data = np.random.default_rng(40)
+        for state in range(200):
+            points = data.standard_normal((40, 3))
+            points[data.integers(40, size=10)] = points[0]  # some zero distances
+            columns = np.ascontiguousarray(points.T)
+            got_rng, choice_rng = np.random.default_rng(state), np.random.default_rng(state)
+            got = community._kmeans_plusplus(columns, 6, got_rng)
+            expected = self.choice_seeding(columns, 6, choice_rng)
+            assert got.tobytes() == expected.tobytes()
+            assert got_rng.bit_generator.state == choice_rng.bit_generator.state
+
+    def test_distance_ties_go_to_the_lowest_centroid(self, monkeypatch):
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        points = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        # Squared distances, centroid by centroid: (2, 2, 2, 2), (8, 4, 4, 8),
+        # (0, 4, 4, 0), (1, 1, 5, 1) and (4, 0, 8, 4), all exact.
+        monkeypatch.setattr(
+            community, "_kmeans_plusplus", lambda columns, k, rng: centroids.copy()
+        )
+        labels, _, _ = community._lloyd(points, 4, np.random.default_rng(0), max_iter=1)
+        assert labels.tolist() == [0, 1, 0, 0, 1]
+
+    def test_layout_does_not_change_the_result(self):
+        # Ten columns: numpy sums a contiguous row of eight or more pairwise,
+        # a strided one in order, so only one layout may reach the sums.
+        points = np.random.default_rng(41).standard_normal((500, 10))
+        wide = np.zeros((1000, 20))
+        wide[::2, 1::2] = points
+        expected = _kmeans_runs(points, 6, 5, 3)
+        for view in (np.asfortranarray(points), wide[::2, 1::2]):
+            got = _kmeans_runs(view, 6, 5, 3)
+            np.testing.assert_array_equal(got[0], expected[0])
+            assert got[1:] == expected[1:]
+
     def test_coincident_points_do_not_crash(self):
         points = np.ones((10, 2))
         part = cluster(points, 3, seed=0)
@@ -579,3 +628,37 @@ class TestSpectralOnContinuous:
         part = spectral_on_continuous(corr, SpectralConfig(K=3, seed=0))
         assert np.all(part.labels == 1)
         assert requests == []
+
+    @staticmethod
+    def block_correlations(m, order):
+        rng = np.random.default_rng(m)
+        groups = np.arange(m) * 4 // m
+        values = np.where(groups[:, None] == groups[None, :], 0.5, 0.05)
+        values = values + 0.1 * rng.standard_normal((m, m))
+        values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(values, 1.0)
+        return SymmetricMatrix(np.asarray(values, order=order), "correlation")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_a_plain_numpy_pipeline(self, order):
+        corr = self.block_correlations(300, order)
+        weights = np.abs(corr.values)
+        np.fill_diagonal(weights, 0.0)
+        degrees = weights.sum(axis=1)
+        config = SpectralConfig(K=4, seed=3)
+        expected, _ = community._detect_on_weights(weights, degrees, config)
+        assert community._absolute_row_sums(corr.values).tobytes() == degrees.tobytes()
+        assert spectral_on_continuous(corr, config) == expected
+
+    def test_holds_one_m_by_m_matrix(self):
+        corr = self.block_correlations(400, "C")
+        before = corr.values.copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_on_continuous(corr, SpectralConfig(K=4, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * corr.values.nbytes
+        assert corr.values.tobytes() == before.tobytes()

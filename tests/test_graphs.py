@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from assocnet.errors import InvalidInputError
 from assocnet.graphs import SparseAdjacency
@@ -50,3 +51,37 @@ class TestCanonicalEdges:
     def test_invalid_edges_are_still_rejected(self, edges):
         with pytest.raises(InvalidInputError):
             SparseAdjacency(3, np.array(edges))
+
+
+class TestMatrixViews:
+    """to_csr and degrees against a COO build and np.add.at counts."""
+
+    @staticmethod
+    def coo_csr(adj):
+        rows = np.concatenate([adj.edges[:, 0], adj.edges[:, 1]])
+        cols = np.concatenate([adj.edges[:, 1], adj.edges[:, 0]])
+        data = np.ones(rows.shape[0], dtype=np.float64)
+        return sp.csr_matrix((data, (rows, cols)), shape=(adj.m, adj.m))
+
+    @staticmethod
+    def add_at_degrees(adj):
+        deg = np.zeros(adj.m, dtype=np.int64)
+        np.add.at(deg, adj.edges[:, 0], 1)
+        np.add.at(deg, adj.edges[:, 1], 1)
+        return deg
+
+    @pytest.mark.parametrize(
+        "m, count", [(1, 0), (2, 1), (50, 300), (300, 0), (2000, 20000)]
+    )
+    def test_match_the_coo_build_and_add_at_counts(self, m, count):
+        adj = SparseAdjacency(m, canonical_pairs(np.random.default_rng(m), m, count))
+        got, expected = adj.to_csr(), self.coo_csr(adj)
+        assert got.format == "csr" and got.shape == (m, m)
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        degrees = adj.degrees()
+        assert degrees.dtype == np.int64
+        np.testing.assert_array_equal(degrees, self.add_at_degrees(adj))
