@@ -24,8 +24,6 @@ DENSE_CUTOFF = 32
 # Eigenpairs asked for by the first eigengap solve; doubled while a later
 # gap could still be the largest (see select_num_communities).
 EIGENGAP_FIRST_REQUEST = 24
-# Entries per row block when spectral_on_continuous sums |r| by rows.
-_DEGREE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,29 +55,40 @@ class SpectralConfig:
             raise ParameterError("tau must be a finite nonnegative number")
 
 
-def _regularized_laplacian(weights, degrees, tau):
+def _regularized_laplacian(weights, tau):
     """Symmetrically scale a weight matrix by 1/sqrt(degree + tau).
 
-    Returns (L, tau_value). Rows whose regularized degree is zero are
-    scaled by zero rather than dividing by it. A dense matrix is read
-    as |weights| with a zero diagonal, built in L, the one new matrix;
-    the caller's array is left as it is.
+    Returns (L, degrees, tau_value); the degrees are the row sums of the
+    matrix that L scales. Rows whose regularized degree is zero are
+    scaled by zero rather than dividing by it. A sparse matrix is a 0/1
+    graph: its degrees are its entry counts per row, and a copy of its
+    entries is scaled by s_i, then by s_j, which is symmetric to the bit.
+    A dense matrix is read as |weights| with a zero diagonal, built in
+    L, the one new matrix, in the input's own layout; the caller's array
+    is left as it is.
     """
+    if sp.issparse(weights):
+        lap = weights.copy()
+        counts = np.diff(lap.indptr)
+        degrees = counts.astype(np.float64)
+    else:
+        lap = np.abs(weights, dtype=np.float64)
+        np.fill_diagonal(lap, 0.0)
+        degrees = lap.sum(axis=1)
+        if not lap.flags.c_contiguous:
+            lap = lap.T  # the same symmetric matrix, row-major
     tau_value = float(np.mean(degrees)) if tau == "auto" else float(tau)
     reg = degrees + tau_value
     with np.errstate(divide="ignore"):
         scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.maximum(reg, 1e-300)), 0.0)
-    if sp.issparse(weights):
-        diag = sp.diags(scale)
-        lap = diag @ weights @ diag
-        lap = (lap + lap.T) * 0.5
-        return lap.tocsr(), tau_value
-    lap = np.abs(weights, dtype=np.float64, order="C")
-    np.fill_diagonal(lap, 0.0)
+    if sp.issparse(lap):
+        lap.data *= np.repeat(scale, counts)
+        lap.data *= scale[lap.indices]
+        return lap, degrees, tau_value
     lap *= scale[:, None]
     lap *= scale[None, :]
     symmetrize_in_place(lap, 0.5)
-    return lap, tau_value
+    return lap, degrees, tau_value
 
 
 def _leading_eigenpairs(lap, k: int, method: str = "auto"):
@@ -106,7 +115,7 @@ def _leading_eigenpairs(lap, k: int, method: str = "auto"):
     else:
         v0 = np.full(m, 1.0 / np.sqrt(m))
         try:
-            vals, vecs = eigsh(lap, k=k, which="LM", tol=1e-8, v0=v0)
+            vals, vecs = eigsh(lap, k=k, which="LM", tol=1e-8, v0=v0, rng=0)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"eigensolver converged {len(exc.eigenvalues)} of {k} "
@@ -116,20 +125,19 @@ def _leading_eigenpairs(lap, k: int, method: str = "auto"):
     return vals[order], vecs[:, order]
 
 
-def _embed(weights, degrees, config: SpectralConfig, k: int):
-    """Eigenvector embedding of the regularized Laplacian.
+def _embed(lap, config: SpectralConfig, k: int):
+    """Eigenvector embedding of a regularized Laplacian.
 
-    Returns (embedding, eigenvalues, tau_value); the embedding is row
-    normalized when the config asks for it, leaving zero rows at zero.
+    Returns (embedding, eigenvalues); the embedding is row normalized
+    when the config asks for it, leaving zero rows at zero.
     """
-    lap, tau_value = _regularized_laplacian(weights, degrees, config.tau)
     vals, vecs = _leading_eigenpairs(lap, k)
     if config.row_normalize:
         norms = np.sqrt(np.square(vecs).sum(axis=1))
         nonzero = norms > 0.0
         vecs = vecs.copy()
         vecs[nonzero] /= norms[nonzero, None]
-    return vecs, vals, tau_value
+    return vecs, vals
 
 
 def _kmeans_plusplus(columns, k, rng):
@@ -266,8 +274,7 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
         return min(2, m)
     k_max = max(2, min(m // 10, 150))
     k_max = min(k_max, m - 2)
-    degrees = adj.degrees().astype(np.float64)
-    lap, _ = _regularized_laplacian(adj.to_csr(), degrees, "auto")
+    lap, _, _ = _regularized_laplacian(adj.to_csr(), "auto")
     n = min(EIGENGAP_FIRST_REQUEST, k_max + 1)
     while True:
         vals, _ = _leading_eigenpairs(lap, n)
@@ -279,22 +286,22 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
         n = min(2 * n, k_max + 1)
 
 
-def _detect_on_weights(weights, degrees, config: SpectralConfig):
+def _detect_on_weights(weights, config: SpectralConfig):
     """Shared embed + cluster + zero-degree cleanup; returns (Partition, report).
 
     With no nonzero degree there is no signal: every node goes to
     community 1 and no eigensolve runs, whatever K is.
     """
+    lap, degrees, tau_value = _regularized_laplacian(weights, config.tau)
     m = len(degrees)
     dangling = degrees == 0.0
     if dangling.all():
         labels = np.ones(m, dtype=np.int64)
         vals, best_wcss, all_wcss, all_iterations = [], 0.0, [], []
-        tau_value = 0.0 if config.tau == "auto" else float(config.tau)
     else:
         if m < config.K:
             raise InvalidInputError("need at least K nodes")
-        vecs, vals, tau_value = _embed(weights, degrees, config, config.K)
+        vecs, vals = _embed(lap, config, config.K)
         labels0, best_wcss, all_wcss, all_iterations = _kmeans_runs(
             vecs, config.K, config.restarts, config.seed
         )
@@ -326,30 +333,13 @@ def detect_communities_report(adj: SparseAdjacency, config: SpectralConfig):
     to the largest cluster and counted in the report. An edgeless graph
     is one community.
     """
-    degrees = adj.degrees().astype(np.float64)
-    return _detect_on_weights(adj.to_csr(), degrees, config)
+    return _detect_on_weights(adj.to_csr(), config)
 
 
 def detect_communities(adj: SparseAdjacency, config: SpectralConfig) -> Partition:
     """Partition a graph into config.K communities."""
     partition, _ = detect_communities_report(adj, config)
     return partition
-
-
-def _absolute_row_sums(values):
-    """Row sums of |values| with the diagonal left out, by row blocks.
-
-    Each block is one small copy, summed as the whole |values| matrix
-    would be, so the sums are the same to the bit.
-    """
-    m = values.shape[0]
-    rows = max(1, _DEGREE_BLOCK // m)
-    sums = np.empty(m)
-    for first in range(0, m, rows):
-        block = np.abs(values[first : first + rows])
-        block[np.arange(block.shape[0]), np.arange(first, first + block.shape[0])] = 0.0
-        block.sum(axis=1, out=sums[first : first + rows])
-    return sums
 
 
 def spectral_on_continuous(corr: SymmetricMatrix, config: SpectralConfig) -> Partition:
@@ -362,6 +352,5 @@ def spectral_on_continuous(corr: SymmetricMatrix, config: SpectralConfig) -> Par
     """
     if corr.kind != "correlation":
         raise InvalidInputError("expected a correlation matrix")
-    degrees = _absolute_row_sums(corr.values)
-    partition, _ = _detect_on_weights(corr.values, degrees, config)
+    partition, _ = _detect_on_weights(corr.values, config)
     return partition

@@ -8,14 +8,15 @@ and a "# m=" comment carrying the node count; partitions are TSV
 UTF-8 with LF line endings, and numeric formatting round-trips float64
 exactly.
 
-Each text reader parses with one np.loadtxt call and skips blank and
-whitespace-only lines: CSV as its lines stream from the file, TSV
+Each text reader parses with one np.loadtxt call as the lines stream
+from the file, and skips blank and whitespace-only lines. TSV goes
 through _read_tsv, which also takes a header from any "#" comment (the
-last one wins) and ignores fields past the second. _read_tsv splits the
-text into lines once and keeps no line numbers; an error that names a
-file line counts them again (_file_lines). Edge lists and partitions
-are written by _write_int_pairs, which looks each id up in a table of
-decimal strings and writes blocks of _BLOCK_LINES lines as one string.
+last one wins) and ignores fields past the second. _read_tsv keeps no
+line numbers; an error that names a file line counts them again
+(_file_lines). Binary matrices are written by column blocks of about
+_BLOCK_BYTES, so no full-size copy is made. Edge lists and partitions are
+written by _write_int_pairs, which looks each id up in a table of decimal
+strings and writes blocks of _BLOCK_LINES lines as one string.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .graphs import Partition, SparseAdjacency
 MATRIX_MAGIC = b"ASNETBIN"
 # Lines joined into one string per write by the integer-pair TSV writers.
 _BLOCK_LINES = 1 << 20
+# Bytes per column block written by write_matrix_bin.
+_BLOCK_BYTES = 1 << 22
 
 
 def _open_write(path):
@@ -103,15 +106,17 @@ def read_matrix_csv(path):
 
 
 def write_matrix_bin(path, values: np.ndarray) -> None:
-    """Write a dense matrix in the binary column-major format."""
+    """Write a dense matrix in the binary column-major format, by column blocks."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise InvalidInputError("matrix must be 2-D")
     header = np.array(values.shape, dtype="<i8").tobytes()
+    step = max(1, _BLOCK_BYTES // (8 * max(1, values.shape[0])))
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(header)
-        fh.write(np.asfortranarray(values).tobytes(order="F"))
+        for first in range(0, values.shape[1], step):
+            fh.write(values[:, first : first + step].T.tobytes())
 
 
 def read_matrix_bin(path):
@@ -146,50 +151,52 @@ def read_matrix_auto(path):
     return read_matrix_csv(path)
 
 
-def _stripped_lines(path) -> list[str]:
-    r"""Every line of a text file, surrounding whitespace removed.
+def _file_lines(path) -> list[int]:
+    r"""The 1-based file line of each data row that _read_tsv returns.
 
-    The text is split on "\n" only: str.splitlines would also split on
-    "\v", "\f" and "\x1c", which a line may hold.
+    Lines split as the file iterates them, not as str.splitlines, which
+    also splits on "\v", "\f" and "\x1c". It reads the file again, so
+    only an error that names a line pays for it.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return list(map(str.strip, fh.read().split("\n")))
-
-
-def _file_lines(path) -> list[int]:
-    """The 1-based file line of each data row that _read_tsv returns.
-
-    It reads the file again, so only an error that names a line pays for it.
-    """
-    stripped = _stripped_lines(path)
-    return [n for n, s in enumerate(stripped, start=1) if s and s[0] != "#"]
+        return [n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#")]
 
 
 def _read_tsv(path, dtype, fields: str):
-    """Read a TSV file once; returns (comments, table).
+    """Read a TSV file once, as its lines stream; returns (comments, table).
 
     comments holds the text of each "#" line, "#" and surrounding
     whitespace removed. table holds, as dtype, the first two
     tab-separated fields of every other non-blank line (fields past the
-    second are ignored); _file_lines maps its rows to file lines.
-    A short or unparsable line raises InvalidInputError naming the
-    first such line; fields describes the two expected fields.
+    second are ignored); _file_lines maps its rows to file lines. Only
+    the table is held whole. A short or unparsable line raises
+    InvalidInputError naming the first such line; fields describes the
+    two expected fields.
     """
-    lines = list(filter(None, _stripped_lines(path)))
-    comments = [s.lstrip("#").strip() for s in lines if s[0] == "#"]
-    rows = [s for s in lines if s[0] != "#"]
-    del lines
-    if not rows:  # np.loadtxt warns on an empty input
-        return comments, np.empty((0, 2), dtype=dtype)
-    try:
-        table = np.loadtxt(rows, dtype, delimiter="\t", comments=None, usecols=(0, 1), ndmin=2)
-    except ValueError as exc:
-        # loadtxt counts data rows only: from 1 for a row short of a
-        # column, from 0 for a field that does not parse.
-        short = "column index" in str(exc)
-        row = int(re.search(r"at row (\d+)", str(exc))[1]) - short
-        problem = f"expected {fields}" if short else "non-integer field"
-        raise InvalidInputError(f"{path}:{_file_lines(path)[row]}: {problem}") from exc
+    comments = []
+    with open(path, "r", encoding="utf-8") as fh:
+
+        def rows():
+            for s in map(str.strip, fh):
+                if s[:1] == "#":
+                    comments.append(s.lstrip("#").strip())
+                elif s:
+                    yield s
+
+        lines = rows()
+        first = next(lines, None)
+        if first is None:  # np.loadtxt warns on an empty input
+            return comments, np.empty((0, 2), dtype=dtype)
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), dtype, delimiter="\t",
+                               comments=None, usecols=(0, 1), ndmin=2)
+        except ValueError as exc:
+            # loadtxt counts data rows only: from 1 for a row short of a
+            # column, from 0 for a field that does not parse.
+            short = "column index" in str(exc)
+            row = int(re.search(r"at row (\d+)", str(exc))[1]) - short
+            problem = f"expected {fields}" if short else "non-integer field"
+            raise InvalidInputError(f"{path}:{_file_lines(path)[row]}: {problem}") from exc
     return comments, table
 
 

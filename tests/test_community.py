@@ -4,6 +4,8 @@ Independent oracles, defined before any assertions use them:
 
 * ``dense_regularized_laplacian`` — explicit construction of the
   degree-regularized normalization in plain numpy.
+* ``matmul_regularized_laplacian`` — the sparse build through
+  ``sp.diags`` and two matmuls, kept as the byte reference.
 * ``np.linalg.eigh`` on that dense matrix — reference spectrum for the
   iterative solver path.
 * well-separated Gaussian blobs / planted blocks — clustering ground
@@ -13,10 +15,13 @@ Independent oracles, defined before any assertions use them:
   every step, kept verbatim: k-means output must match it bit for bit.
 """
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from assocnet import community
 from assocnet.assoc import SymmetricMatrix
@@ -45,6 +50,18 @@ def dense_regularized_laplacian(dense_adj, tau):
     scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.where(reg > 0.0, reg, 1.0)), 0.0)
     lap = scale[:, None] * dense_adj * scale[None, :]
     return (lap + lap.T) / 2.0
+
+
+def matmul_regularized_laplacian(csr, tau):
+    """The sparse build that scaled through sp.diags, two matmuls and an average."""
+    degrees = np.diff(csr.indptr).astype(np.float64)
+    tau_value = float(np.mean(degrees)) if tau == "auto" else float(tau)
+    reg = degrees + tau_value
+    with np.errstate(divide="ignore"):
+        scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.maximum(reg, 1e-300)), 0.0)
+    diag = sp.diags(scale)
+    lap = diag @ csr @ diag
+    return ((lap + lap.T) * 0.5).tocsr()
 
 
 def eigengap_oracle(adj):
@@ -212,7 +229,8 @@ class TestLeadingEigenpairs:
 
 def embed(adj, config):
     """The K-dimensional embedding detect_communities clusters."""
-    vecs, _, _ = _embed(adj.to_csr(), adj.degrees().astype(np.float64), config, config.K)
+    lap, _, _ = community._regularized_laplacian(adj.to_csr(), config.tau)
+    vecs, _ = _embed(lap, config, config.K)
     return vecs
 
 
@@ -265,24 +283,79 @@ class TestRegularizedLaplacian:
     def test_dense_branch_matches_oracle_bytes(self, order):
         weights = self.symmetric_weights(300, order)  # not a multiple of the tile
         for tau in (0.0, 2.5, "auto"):
-            lap, tau_value = community._regularized_laplacian(
-                weights, weights.sum(axis=1), tau
-            )
+            lap, _, tau_value = community._regularized_laplacian(weights, tau)
             expected = dense_regularized_laplacian(weights, tau_value)
             assert lap.flags.c_contiguous and expected.flags.c_contiguous
             assert lap.tobytes() == expected.tobytes()
 
     def test_dense_branch_holds_one_new_matrix(self):
         weights = self.symmetric_weights(400, "C")
-        degrees = weights.sum(axis=1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            community._regularized_laplacian(weights, degrees, "auto")
+            community._regularized_laplacian(weights, "auto")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * weights.nbytes
+
+    @staticmethod
+    def graph_with_isolated_nodes(seed):
+        rng = np.random.default_rng(seed)
+        dense = np.triu((rng.random((90, 90)) < 0.08).astype(np.int8), k=1)
+        dense[:, [3, 40, 89]] = 0
+        dense[[3, 40, 89], :] = 0
+        return SparseAdjacency.from_dense(dense + dense.T)
+
+    @pytest.mark.parametrize("tau", [0.0, 2.5, "auto"])
+    def test_sparse_branch_matches_oracle(self, tau):
+        adj = self.graph_with_isolated_nodes(60)
+        assert np.count_nonzero(adj.degrees() == 0) == 3
+        lap, _, tau_value = community._regularized_laplacian(adj.to_csr(), tau)
+        expected = dense_regularized_laplacian(adj.to_dense().astype(np.float64), tau_value)
+        assert lap.toarray().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, 2.5, "auto"])
+    def test_sparse_branch_matches_matmul_build_bytes(self, tau):
+        for seed in (61, 62):
+            csr = self.graph_with_isolated_nodes(seed).to_csr()
+            lap, _, _ = community._regularized_laplacian(csr, tau)
+            expected = matmul_regularized_laplacian(csr, tau)
+            assert type(lap) is type(expected)
+            assert lap.has_sorted_indices == expected.has_sorted_indices
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(lap, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_sparse_branch_leaves_its_input(self):
+        csr = self.graph_with_isolated_nodes(63).to_csr()
+        before = csr.data.copy()
+        community._regularized_laplacian(csr, "auto")
+        assert csr.data.tobytes() == before.tobytes()
+
+    def test_sparse_degrees_are_the_graph_degrees(self):
+        adj = self.graph_with_isolated_nodes(64)
+        _, degrees, _ = community._regularized_laplacian(adj.to_csr(), "auto")
+        assert degrees.dtype == np.float64
+        assert np.array_equal(degrees, adj.degrees())
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_dense_degrees_are_absolute_row_sums(self, layout):
+        values = np.random.default_rng(65).uniform(-1.0, 1.0, (301, 301))
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, 1.0)
+        if layout == "strided":
+            values = values[::2, ::2]
+        else:
+            values = np.asarray(values, order=layout)
+        weights = np.abs(values)  # the same layout as values
+        np.fill_diagonal(weights, 0.0)
+        expected = weights.sum(axis=1)
+        lap, degrees, _ = community._regularized_laplacian(values, "auto")
+        assert lap.flags.c_contiguous
+        assert degrees.tobytes() == expected.tobytes()
+        exact = [math.fsum(row) for row in weights]
+        np.testing.assert_allclose(degrees, exact, rtol=1e-13)
 
 
 # ----------------------------------------------------------------- kmeans
@@ -503,6 +576,18 @@ class TestDetectCommunities:
         second = detect_communities(adj, config)
         np.testing.assert_array_equal(first.labels, second.labels)
 
+    def test_repeated_reports_identical_on_a_ring(self):
+        # The uniform start vector is an eigenvector of a regular graph, so
+        # the eigensolver restarts; its restart vectors must be seeded too.
+        m = 200
+        ring = SparseAdjacency(m, np.column_stack([np.arange(m), (np.arange(m) + 1) % m]))
+        config = SpectralConfig(K=4, seed=0)
+        reports = {
+            json.dumps(detect_communities_report(ring, config)[1], sort_keys=True)
+            for _ in range(3)
+        }
+        assert len(reports) == 1
+
     def test_node_permutation_equivariance(self):
         adj, _ = two_cliques(20)
         rng = np.random.default_rng(45)
@@ -646,8 +731,9 @@ class TestSpectralOnContinuous:
         np.fill_diagonal(weights, 0.0)
         degrees = weights.sum(axis=1)
         config = SpectralConfig(K=4, seed=3)
-        expected, _ = community._detect_on_weights(weights, degrees, config)
-        assert community._absolute_row_sums(corr.values).tobytes() == degrees.tobytes()
+        expected, _ = community._detect_on_weights(weights, config)
+        _, returned, _ = community._regularized_laplacian(corr.values, config.tau)
+        assert returned.tobytes() == degrees.tobytes()
         assert spectral_on_continuous(corr, config) == expected
 
     def test_holds_one_m_by_m_matrix(self):

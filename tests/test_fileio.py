@@ -225,6 +225,44 @@ class TestMatrixBinary:
         assert np.array_equal(got, values)
         assert peak < 1.2 * values.nbytes
 
+    @staticmethod
+    def layouts():
+        base = np.random.default_rng(6).standard_normal((61, 47))
+        return {
+            "C": base,
+            "F": np.asfortranarray(base),
+            "strided": base[::2, 1::3],
+            "0x0": np.empty((0, 0)),
+            "1xn": base[:1],
+            "nx1": base[:, :1],
+        }
+
+    @pytest.mark.parametrize("block_bytes", [1 << 22, 8 * 61 * 5])
+    def test_writes_column_major_payload_bytes(self, tmp_path, monkeypatch, block_bytes):
+        # 8 * 61 * 5 bytes: five-column blocks, the last one partial for 47 columns.
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "m.bin"
+        for name, values in self.layouts().items():
+            write_matrix_bin(path, values)
+            header = MATRIX_MAGIC + np.array(values.shape, dtype="<i8").tobytes()
+            expected = header + np.asfortranarray(values).tobytes(order="F")
+            assert path.read_bytes() == expected, name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_writing_holds_one_block(self, tmp_path, monkeypatch, order):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1 << 18)
+        values = np.asarray(np.random.default_rng(7).standard_normal((1000, 1500)), order=order)
+        path = tmp_path / "m.bin"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_matrix_bin(path, values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * fileio._BLOCK_BYTES  # a block's copy and its bytes
+        assert np.array_equal(read_matrix_bin(path), values)
+
     def test_rejects_corrupt_header(self, tmp_path):
         path = tmp_path / "m.bin"
         negative = np.array([-1, 4], dtype="<i8").tobytes()
@@ -262,6 +300,24 @@ class TestReadTsv:
         comments, table = _read_tsv(path, dtype, "two ids")
         lines = _file_lines(path)
         assert (comments, table.tolist(), lines) == _loop_reference(path, convert)
+
+    def test_reading_holds_little_more_than_the_table(self, tmp_path):
+        ids = np.random.default_rng(8).integers(1, 10**6, size=(200_000, 2))
+        path = tmp_path / "pairs.tsv"
+        path.write_text(
+            "# m=1000000\n" + "".join(f"{i}\t{j}\n" for i, j in ids.tolist()),
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            comments, table = _read_tsv(path, np.int64, "two ids")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert comments == ["m=1000000"]
+        assert np.array_equal(table, ids)
+        assert peak < 1.5 * table.nbytes
 
 
 def _loop_written(header, pairs):
