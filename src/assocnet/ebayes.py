@@ -583,7 +583,9 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
     its next step is at most _A_TOL; a row still moving after _A_STEPS
     passes raises ConvergenceError. A scan point with a higher loglik
     than the search result is returned instead, so the exact bounds win
-    when they are best. Each row's result depends on that row alone.
+    when they are best. The search runs on each row's |z| sorted once, so
+    a row's (w, a, loglik) depends only on the multiset of its scores, not
+    on their order or on the other rows.
 
     beta, valid only with estimate_a false, holds the slab-to-null ratios
     g / phi - 1 at |z| and A_DEFAULT, already computed by the caller with
@@ -603,9 +605,15 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
         if beta.shape != z.shape:
             raise InvalidInputError("slab ratios must match the score array")
     rows, n = z.shape
-    log_phi_sum = -0.5 * np.einsum("ij,ij->i", z, z) - n * _LOG_SQRT_2PI
     if estimate_a:
-        return _fit_spread(np.abs(z), log_phi_sum)
+        # erfcx branches on the range of its argument, so it runs two to three
+        # times faster on sorted rows; nothing is put back, so every sum of
+        # the search runs in sorted order too.
+        z_abs = np.abs(z)
+        z_abs.sort(axis=1)
+        log_phi_sum = -0.5 * np.einsum("ij,ij->i", z_abs, z_abs) - n * _LOG_SQRT_2PI
+        return _fit_spread(z_abs, log_phi_sum)
+    log_phi_sum = -0.5 * np.einsum("ij,ij->i", z, z) - n * _LOG_SQRT_2PI
     a = np.full(rows, A_DEFAULT)
     if beta is None:
         beta = _fixed_beta(np.abs(z))

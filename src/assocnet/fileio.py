@@ -265,13 +265,14 @@ def read_edges_tsv(path) -> SparseAdjacency:
     """
     comments, ids = _read_tsv(path, np.int64, "two ids")
     m = _header_int(path, comments, "m=")
+    ids -= 1  # 0-based in place, so the adjacency copies the table once
     try:
-        return SparseAdjacency(m, ids - 1)
+        return SparseAdjacency(m, ids)
     except InvalidInputError as exc:
         lo, hi = ids.min(axis=1), ids.max(axis=1)
         located = _rejected_row(path, [
-            ("ids are 1-based", lo < 1),
-            (f"id above m={m}", hi > m),
+            ("ids are 1-based", lo < 0),
+            (f"id above m={m}", hi >= m),
             ("self loop", lo == hi),
             ("repeated edge", _repeats(np.column_stack((lo, hi)))[1]),
         ])

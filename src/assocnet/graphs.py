@@ -16,20 +16,49 @@ from .assoc import is_symmetric
 from .errors import InvalidInputError
 
 
+_CHECK_ROWS = 1 << 20  # edges per chunk of the canonical-order check
+
+
+def _in_canonical_order(edges: np.ndarray) -> bool:
+    """Whether every row has i < j and the rows increase strictly.
+
+    The check runs in chunks of _CHECK_ROWS edges, each overlapping the
+    one before by a row, so its temporaries stay small for any E.
+    """
+    for start in range(0, len(edges), _CHECK_ROWS):
+        chunk = edges[max(start - 1, 0) : start + _CHECK_ROWS]
+        lo, hi = chunk[:, 0], chunk[:, 1]
+        if not np.all(lo < hi):
+            return False
+        rises = lo[1:] > lo[:-1]
+        rises |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+        if not rises.all():
+            return False
+    return True
+
+
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """A copy of edges in canonical form; input already in it is not sorted again."""
+    """A copy of edges in canonical form; input already in it is not sorted again.
+
+    Canonical input has neither self loops nor repeated pairs; sorted
+    input is checked for both.
+    """
     edges = np.array(edges, dtype=np.int64, order="C")  # our own copy, not the caller's array
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise InvalidInputError("edge array must have shape (E, 2)")
-    lo, hi = edges[:, 0], edges[:, 1]
-    d_lo = np.diff(lo)
-    if np.all(lo < hi) and np.all((d_lo > 0) | ((d_lo == 0) & (np.diff(hi) > 0))):
+    if _in_canonical_order(edges):
         return edges
+    lo, hi = edges[:, 0], edges[:, 1]
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     order = np.lexsort((hi, lo))
-    return np.column_stack([lo[order], hi[order]])
+    edges = np.column_stack([lo[order], hi[order]])
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise InvalidInputError("self loops are not allowed")
+    if np.any((edges[:-1, 0] == edges[1:, 0]) & (edges[:-1, 1] == edges[1:, 1])):
+        raise InvalidInputError("duplicate edges are not allowed")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -40,17 +69,12 @@ class SparseAdjacency:
     edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _canonical_edges(self.edges))
-        e = self.edges
         if self.m < 1:
             raise InvalidInputError("adjacency needs at least one node")
-        if e.size:
-            if e.min() < 0 or e.max() >= self.m:
-                raise InvalidInputError("edge endpoint out of range")
-            if np.any(e[:, 0] == e[:, 1]):
-                raise InvalidInputError("self loops are not allowed")
-            if np.any((e[:-1, 0] == e[1:, 0]) & (e[:-1, 1] == e[1:, 1])):
-                raise InvalidInputError("duplicate edges are not allowed")
+        object.__setattr__(self, "edges", _canonical_edges(self.edges))
+        e = self.edges
+        if e.size and (e[:, 0].min() < 0 or e[:, 1].max() >= self.m):
+            raise InvalidInputError("edge endpoint out of range")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseAdjacency":

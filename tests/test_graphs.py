@@ -1,9 +1,12 @@
 """Tests for the canonical edge list of SparseAdjacency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from assocnet import graphs
 from assocnet.errors import InvalidInputError
 from assocnet.graphs import SparseAdjacency
 
@@ -42,6 +45,34 @@ class TestCanonicalEdges:
         adj = SparseAdjacency(3, edges)
         edges[0] = [1, 2]
         np.testing.assert_array_equal(adj.edges, [[0, 1], [0, 2], [1, 2]])
+
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_order_is_checked_across_chunk_boundaries(self, monkeypatch, at):
+        # Chunks of 4 edges: rows 3 and 4 straddle the first boundary.
+        monkeypatch.setattr(graphs, "_CHECK_ROWS", 4)
+        edges = canonical_pairs(np.random.default_rng(2), 20, 12)
+        swapped = edges.copy()
+        swapped[[at - 1, at]] = swapped[[at, at - 1]]
+        np.testing.assert_array_equal(SparseAdjacency(20, swapped).edges, edges)
+        repeated = edges.copy()
+        repeated[at] = repeated[at - 1]
+        with pytest.raises(InvalidInputError, match="duplicate"):
+            SparseAdjacency(20, repeated)
+
+    def test_canonical_build_holds_one_edge_array(self):
+        # 2M canonical edges: 2000 rows of 1000 neighbours each.
+        k = np.arange(2_000_000)
+        edges = np.column_stack([k // 1000, k // 1000 + 1 + k % 1000])
+        del k
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adj = SparseAdjacency(3001, edges)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert adj.edge_count == 2_000_000
+        assert peak < 1.3 * edges.nbytes
 
     @pytest.mark.parametrize(
         "edges",
