@@ -11,12 +11,14 @@ The public densities and tail masses are evaluated in log space so that
 scores far into the tails (|z| in the hundreds after clamping) remain
 exact. The row fit needs only the slab-to-null ratio g / phi, which it
 takes from two scaled complementary error functions (erfcx), with a
-closed form for its log where the ratio overflows.
+closed form for its log where the ratio overflows. Every row is fitted
+on its own |z| sorted once, so its fit depends only on the multiset of
+its scores, not on their order or on the other rows.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,26 +156,6 @@ def _slab_ratio(z_abs, a):
         ratio += t2
         ratio *= 0.5 * _SQRT_HALF_PI * a
     return ratio, t2
-
-
-def _fixed_beta(z_abs):
-    """beta = g / phi - 1 at A_DEFAULT for each row of z_abs, as _slab_ratio
-    gives it, evaluated in each row's |z| order.
-
-    erfcx branches on the range of its argument, so it runs several times
-    faster on sorted arguments than in matrix order. A stable radix sort
-    on a 16-bit key (|z| in steps of 1/4096, all of |z| >= 16 in the last
-    bucket) gives the order; erfcx works entry by entry, so every value is
-    the one an unsorted call gives.
-    """
-    key = np.minimum(z_abs * 4096.0, 65535.0).astype(np.uint16)
-    order = np.argsort(key, axis=1, kind="stable")
-    del key
-    ratio = _slab_ratio(np.take_along_axis(z_abs, order, axis=1), A_DEFAULT)[0]
-    ratio -= 1.0
-    beta = np.empty_like(ratio)
-    np.put_along_axis(beta, order, ratio, axis=1)
-    return beta
 
 
 def _log_ratio_overflow(z_abs, a):
@@ -447,9 +429,9 @@ def _weights(beta, lo):
     return w, np.multiply(beta, w[:, None], out=inv_beta)
 
 
-def _loglik(w_beta, z, w, a, log_phi_sum):
+def _loglik(w_beta, z_abs, w, a, log_phi_sum):
     """Row logliks sum(log phi) + sum(log1p(w beta)) from w_beta = w * beta,
-    which is overwritten.
+    which is overwritten; z_abs holds the rows' |z| in the order of w_beta.
 
     log((1 - w) phi + w g) = log phi + log1p(w beta). Where beta overflowed
     to inf the term is log w + log(g / phi) from _log_ratio_overflow; only
@@ -462,7 +444,7 @@ def _loglik(w_beta, z, w, a, log_phi_sum):
         sub = terms[over]
         big = np.isinf(sub)
         r = np.nonzero(big)[0]
-        sub[big] = np.log(w[over][r]) + _log_ratio_overflow(np.abs(z[over][big]), a[over][r])
+        sub[big] = np.log(w[over][r]) + _log_ratio_overflow(z_abs[over][big], a[over][r])
         ll[over] = sub.sum(axis=1)
     return ll + log_phi_sum
 
@@ -562,7 +544,7 @@ def _fit_spread(z_abs, log_phi_sum):
     )
 
 
-def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
+def fit_rows(z: np.ndarray, estimate_a: bool = False):
     """Fit (w, a) for every row of an (R, L) score array by marginal ML.
 
     The row log-likelihood sum(log((1 - w) phi + w g)) is concave in w,
@@ -583,13 +565,11 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
     its next step is at most _A_TOL; a row still moving after _A_STEPS
     passes raises ConvergenceError. A scan point with a higher loglik
     than the search result is returned instead, so the exact bounds win
-    when they are best. The search runs on each row's |z| sorted once, so
-    a row's (w, a, loglik) depends only on the multiset of its scores, not
-    on their order or on the other rows.
+    when they are best.
 
-    beta, valid only with estimate_a false, holds the slab-to-null ratios
-    g / phi - 1 at |z| and A_DEFAULT, already computed by the caller with
-    _fixed_beta; without it they are computed here the same way.
+    Either fit runs on each row's |z| sorted once, so a row's
+    (w, a, loglik) depends only on the multiset of its scores, not on
+    their order or on the other rows.
 
     Returns (w, a, loglik) vectors of length R.
     """
@@ -598,27 +578,20 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False, *, beta=None):
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
-    if beta is not None:
-        if estimate_a:
-            raise ParameterError("precomputed slab ratios need the fixed spread")
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != z.shape:
-            raise InvalidInputError("slab ratios must match the score array")
     rows, n = z.shape
+    # erfcx branches on the range of its argument, so it runs two to three
+    # times faster on sorted rows; nothing is put back, so every sum of the
+    # fit runs in sorted order too.
+    z_abs = np.abs(z)
+    z_abs.sort(axis=1)
+    log_phi_sum = -0.5 * np.einsum("ij,ij->i", z_abs, z_abs) - n * _LOG_SQRT_2PI
     if estimate_a:
-        # erfcx branches on the range of its argument, so it runs two to three
-        # times faster on sorted rows; nothing is put back, so every sum of
-        # the search runs in sorted order too.
-        z_abs = np.abs(z)
-        z_abs.sort(axis=1)
-        log_phi_sum = -0.5 * np.einsum("ij,ij->i", z_abs, z_abs) - n * _LOG_SQRT_2PI
         return _fit_spread(z_abs, log_phi_sum)
-    log_phi_sum = -0.5 * np.einsum("ij,ij->i", z, z) - n * _LOG_SQRT_2PI
     a = np.full(rows, A_DEFAULT)
-    if beta is None:
-        beta = _fixed_beta(np.abs(z))
+    beta = _slab_ratio(z_abs, A_DEFAULT)[0]
+    beta -= 1.0
     w, w_beta = _weights(beta, weight_lower_bound(n, a))
-    return w, a, _loglik(w_beta, z, w, a, log_phi_sum)
+    return w, a, _loglik(w_beta, z_abs, w, a, log_phi_sum)
 
 
 def fit_row(z_row, estimate_a: bool = False):
@@ -647,13 +620,9 @@ def infer_adjacency(
 
     Rows are fitted and thresholded in blocks of at most about
     _BLOCK_ENTRIES scores, at least one per thread, which the threads
-    share. With the fixed spread each unordered pair's slab-to-null ratio
-    beta = g / phi - 1 is evaluated once: a block computes its upper strip
-    and hands each later block the tile of its columns, which that block
-    mirrors and drops, so those tiles hold at most about m^2 / 4 ratios at
-    a time. Working memory beyond the input is O(threads * block + m^2 / 4
-    + edges), or without the m^2 / 4 term with estimate_a. Each row's fit depends on
-    that row alone, so any thread count gives the same result.
+    share. Each block reads its own rows and fits them alone, so working
+    memory beyond the input is O(threads * block + edges). Each row's fit
+    depends on that row alone, so any thread count gives the same result.
     """
     if not isinstance(assoc, AssocMatrix):
         raise InvalidInputError("expected an AssocMatrix")
@@ -665,45 +634,10 @@ def infer_adjacency(
     z = assoc.z
     n_blocks = max(threads, -(-m * m // _BLOCK_ENTRIES))
     blocks = np.array_split(np.arange(m), min(m, n_blocks))
-    starts = [int(rows[0]) for rows in blocks] + [m]
-    # Block k's tiles {later block c: beta at block k's rows and block c's
-    # columns}, or the exception that stopped block k before it could
-    # hand them over.
-    handoff = [Future() for _ in blocks]
-    failed = []  # indices of the blocks that raised
 
-    def mirrored_beta(k):
-        """Block k's slab-to-null ratios beta, (R, m - 1) with the diagonal out."""
-        first, stop = starts[k], starts[k + 1]
-        strip = _fixed_beta(np.abs(z[first:stop, first:]))
-        handoff[k].set_result({
-            c: strip[:, starts[c] - first : starts[c + 1] - first].copy()
-            for c in range(k + 1, len(blocks))
-        })
-        beta = np.empty((stop - first, m - 1))
-        # Row r's diagonal is strip column r: the columns right of it move
-        # left by one, those left of it (below the diagonal) stay.
-        beta[:, first:] = strip[:, 1:]
-        below = np.tril_indices(stop - first, -1)
-        beta[below[0], first + below[1]] = strip[below]
-        del strip
-        for b in range(k):
-            beta[:, starts[b] : starts[b + 1]] = handoff[b].result().pop(k).T
-        return beta
-
-    def fit_block(k):
-        try:
-            if any(j < k for j in failed):
-                raise CancelledError  # a block before this one failed
-            rows = blocks[k]
-            beta = None if estimate_a else mirrored_beta(k)
-            scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
-            return fit_rows(scores.reshape(rows.size, m - 1), estimate_a, beta=beta)
-        except BaseException as exc:
-            failed.append(k)
-            if not handoff[k].done():
-                handoff[k].set_exception(exc)
-            raise
+    def fit_block(rows):
+        scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
+        return fit_rows(scores.reshape(rows.size, m - 1), estimate_a)
 
     def block_edges(rows):
         # Columns from the block's first row on, so triu keeps j > i.
@@ -713,12 +647,7 @@ def infer_adjacency(
         return np.argwhere(np.triu(above, k=1)) + first
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Blocks start in row order and wait only on earlier ones. Every
-        # block runs and sets its hand-off, if only with an error, so no
-        # block is left waiting. Blocks that start after an earlier one
-        # failed stop at once, so the first error in row order is a real one.
-        fits = [pool.submit(fit_block, k) for k in range(len(blocks))]
-        w, a, ll = map(np.concatenate, zip(*(f.result() for f in fits)))
+        w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
         t = detection_threshold(w, a)
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
     adjacency = SparseAdjacency(m, edges)
