@@ -115,7 +115,7 @@ def covariance_matrix(samples: np.ndarray) -> SymmetricMatrix:
         raise InvalidInputError("samples must be finite")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / n
-    symmetrize_in_place(cov, 0.5)
+    mirror_upper_in_place(cov)
     return SymmetricMatrix(cov, "covariance")
 
 
@@ -132,7 +132,7 @@ def correlation_from_covariance(cov: SymmetricMatrix) -> SymmetricMatrix:
     corr = np.multiply(cov.values, scale[:, None])
     corr *= scale[None, :]
     np.clip(corr, -1.0, 1.0, out=corr)
-    symmetrize_in_place(corr, 0.5)
+    mirror_upper_in_place(corr)
     np.fill_diagonal(corr, 1.0)
     return SymmetricMatrix(corr, "correlation")
 
@@ -157,39 +157,18 @@ def is_symmetric(x: np.ndarray) -> bool:
     return all(np.array_equal(upper, lower.T) for upper, lower, _ in _mirror_tiles(x))
 
 
-def symmetrize_in_place(x: np.ndarray, scale: float) -> None:
-    """In place: x = (x + x.T) * scale, one pair of mirror tiles at a time.
-
-    x += x.T would copy all of x.T first, because its operands overlap;
-    here every temporary is tile-sized (the copy for a diagonal tile and
-    numpy's buffers for strided operands). Addition commutes, so (i, j)
-    and (j, i) get the same bytes.
-    """
-    for upper, lower, diagonal in _mirror_tiles(x):
-        upper += lower.T
-        upper *= scale
-        if not diagonal:  # a diagonal tile is already symmetric here
-            lower[...] = upper.T
-
-
 def mirror_upper_in_place(x: np.ndarray) -> None:
-    """In place: copy the strict upper triangle of x onto the lower one."""
+    """In place: copy the strict upper triangle of x onto the lower one.
+
+    The one way a dense matrix is made symmetric: each builder computes
+    its entries, then (j, i) takes the bytes of (i, j), one pair of
+    mirror tiles at a time, however the lower triangle had rounded.
+    """
     for upper, lower, diagonal in _mirror_tiles(x):
         if diagonal:
             np.copyto(upper, upper.T, where=np.tri(upper.shape[0], k=-1, dtype=bool))
         else:
             lower[...] = upper.T
-
-
-def _symmetrize_zero_diagonal(z: np.ndarray) -> None:
-    """In place: z = (z + z.T) / 2 with a zero diagonal.
-
-    Elementwise transforms need not give bit-equal results at (i, j) and
-    (j, i) (vectorized and scalar code paths may round differently), so
-    the scores are averaged with their transpose.
-    """
-    symmetrize_in_place(z, 0.5)
-    np.fill_diagonal(z, 0.0)
 
 
 def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
@@ -207,7 +186,8 @@ def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
     z = np.clip(corr.values, -R_MAX, R_MAX, out=np.empty(corr.values.shape))
     np.arctanh(z, out=z)
     z *= np.sqrt(dof - 3.0)
-    _symmetrize_zero_diagonal(z)
+    mirror_upper_in_place(z)
+    np.fill_diagonal(z, 0.0)
     return AssocMatrix(z, "fisher", float(dof))
 
 
@@ -226,7 +206,8 @@ def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
     # significant (small-p) end keeps full accuracy.
     ndtri(z, out=z)
     np.negative(z, out=z)
-    _symmetrize_zero_diagonal(z)
+    mirror_upper_in_place(z)
+    np.fill_diagonal(z, 0.0)
     return AssocMatrix(z, "inverse-normal", None)
 
 
@@ -265,18 +246,14 @@ def cooccurrence_pvalues(incidence: np.ndarray) -> SymmetricMatrix:
     for i in range(m):
         for j in range(i + 1, m):
             ki, kj = int(sizes[i]), int(sizes[j])
-            o = int(overlap[i, j])
-            hi = min(ki, kj)
-            ks = np.arange(o, hi + 1)
-            if ks.size == 0:
-                p = 0.0
-            else:
-                log_terms = (
-                    log_comb(ki, ks)
-                    + (logfact[n_items - ki] - logfact[kj - ks] - logfact[n_items - ki - kj + ks])
-                    - log_comb(n_items, np.array([kj]))
-                )
-                peak = log_terms.max()
-                p = float(np.exp(peak) * np.exp(log_terms - peak).sum())
-            pmat[i, j] = pmat[j, i] = min(p, 1.0)
+            # The overlap is at most min(ki, kj), so the tail has a term.
+            ks = np.arange(int(overlap[i, j]), min(ki, kj) + 1)
+            log_terms = (
+                log_comb(ki, ks)
+                + (logfact[n_items - ki] - logfact[kj - ks] - logfact[n_items - ki - kj + ks])
+                - log_comb(n_items, np.array([kj]))
+            )
+            peak = log_terms.max()
+            pmat[i, j] = min(float(np.exp(peak) * np.exp(log_terms - peak).sum()), 1.0)
+    mirror_upper_in_place(pmat)
     return SymmetricMatrix(pmat, "pvalue")

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .assoc import SymmetricMatrix, symmetrize_in_place
+from .assoc import SymmetricMatrix, mirror_upper_in_place
 from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import Partition, SparseAdjacency
 
@@ -65,7 +65,8 @@ def _regularized_laplacian(weights, tau):
     entries is scaled by s_i, then by s_j, which is symmetric to the bit.
     A dense matrix is read as |weights| with a zero diagonal, built in
     L, the one new matrix, in the input's own layout; the caller's array
-    is left as it is.
+    is left as it is. L is scaled by s_i, then by s_j, and its upper
+    triangle is mirrored onto the lower one.
     """
     if sp.issparse(weights):
         lap = weights.copy()
@@ -87,7 +88,7 @@ def _regularized_laplacian(weights, tau):
         return lap, degrees, tau_value
     lap *= scale[:, None]
     lap *= scale[None, :]
-    symmetrize_in_place(lap, 0.5)
+    mirror_upper_in_place(lap)
     return lap, degrees, tau_value
 
 

@@ -394,16 +394,19 @@ def run_single(config: SimConfig, estimate_a: bool = False, baseline: bool = Fal
     partition = detect_communities(adjacency, spectral)
     confusion = edge_confusion(adjacency, truth.adjacency)
     truth_density = edge_density(truth.adjacency, truth.partition)
+    truth_fields = {
+        "true_edges": truth.adjacency.edge_count,
+        "true_density": truth_density.overall,
+        "true_within_density": truth_density.within,
+        "true_between_density": truth_density.between,
+    }
     record = {
         "method": "threshold-spectral",
         "nmi": nmi(partition, truth.partition),
         "tpr": confusion.tpr,
         "fpr": confusion.fpr,
         "detected_edges": adjacency.edge_count,
-        "true_edges": truth.adjacency.edge_count,
-        "true_density": truth_density.overall,
-        "true_within_density": truth_density.within,
-        "true_between_density": truth_density.between,
+        **truth_fields,
         "median_w": float(np.median(fit.w)),
         "median_a": float(np.median(fit.a)),
     }
@@ -417,10 +420,7 @@ def run_single(config: SimConfig, estimate_a: bool = False, baseline: bool = Fal
                 "tpr": None,
                 "fpr": None,
                 "detected_edges": None,
-                "true_edges": truth.adjacency.edge_count,
-                "true_density": truth_density.overall,
-                "true_within_density": truth_density.within,
-                "true_between_density": truth_density.between,
+                **truth_fields,
                 "median_w": None,
                 "median_a": None,
             }

@@ -27,6 +27,8 @@ from assocnet.errors import (
     InvalidInputError,
     ParameterError,
 )
+from assocnet.graphs import SparseAdjacency
+from assocnet.simgen import generate_correlations
 
 
 def brute_force_covariance(samples):
@@ -132,6 +134,21 @@ class TestCorrelationFromCovariance:
         values = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(DegenerateVarianceError, match="1"):
             correlation_from_covariance(SymmetricMatrix(values, "covariance"))
+
+    def test_upper_triangle_scales_by_row_then_column_and_is_mirrored(self):
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(50, 130)) * rng.uniform(0.1, 5.0, size=130)
+        cov = covariance_matrix(base)
+        scale = 1.0 / np.sqrt(np.diag(cov.values))
+        row_then_col = cov.values * scale[:, None] * scale[None, :]
+        col_then_row = cov.values * scale[None, :] * scale[:, None]
+        # Rounding tells the two orders apart at some pair, so averaging
+        # the triangles would move that pair off the row-then-column product.
+        assert np.any(np.triu(row_then_col != col_then_row, 1))
+        corr = correlation_from_covariance(cov).values
+        upper, lower = np.triu_indices(130, 1), np.tril_indices(130, -1)
+        assert corr[upper].tobytes() == np.clip(row_then_col, -1.0, 1.0)[upper].tobytes()
+        assert corr[lower].tobytes() == corr.T[lower].tobytes()
 
 
 class TestFisherZ:
@@ -314,8 +331,8 @@ def _symmetric_uniform(rng, m, low, high, diagonal):
 
 
 class TestScoreTransformMemory:
-    """fisher_z and pvalues_to_z work in one new m x m buffer, which they
-    symmetrize in place.
+    """fisher_z and pvalues_to_z work in one new m x m buffer, whose upper
+    triangle they mirror in place.
 
     Oracle: the same transforms written as whole-matrix expressions,
     which allocate a new array at every step.
@@ -366,11 +383,11 @@ class TestScoreTransformMemory:
 
 
 class TestCovarianceTransformsInPlace:
-    """covariance_matrix and correlation_from_covariance symmetrize in place.
+    """covariance_matrix and correlation_from_covariance mirror in place.
 
-    Oracle: verbatim copies of the whole-matrix formulas they replaced,
-    which must agree bit for bit, including at sizes that are not a
-    multiple of the symmetrize tile.
+    Oracle: the whole-matrix formulas they replaced, which must agree
+    bit for bit, including at sizes that are not a multiple of the
+    mirror tile.
     """
 
     @staticmethod
@@ -385,7 +402,7 @@ class TestCovarianceTransformsInPlace:
         scale = 1.0 / np.sqrt(np.diag(cov))
         corr = cov * scale[:, None] * scale[None, :]
         corr = np.clip(corr, -1.0, 1.0)
-        corr = (corr + corr.T) / 2.0
+        corr = np.where(np.tri(len(corr), k=-1, dtype=bool), corr.T, corr)  # upper mirrored
         np.fill_diagonal(corr, 1.0)
         return corr
 
@@ -452,3 +469,29 @@ class TestMirrorTiles:
         mirror_upper_in_place(values)
         np.fill_diagonal(values, 0.0)
         assert np.array_equal(values, upper + upper.T)
+
+
+class TestEveryBuilderIsSymmetric:
+    """Each public builder of a dense matrix returns x == x.T exactly, at
+    sizes just under, at and over one mirror tile and past two.
+    """
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    def test_sizes_around_the_tile(self, m):
+        rng = np.random.default_rng(m)
+        cov = covariance_matrix(rng.normal(size=(30, m)) * rng.uniform(0.1, 5.0, size=m))
+        corr = correlation_from_covariance(cov)
+        pvals = SymmetricMatrix(_symmetric_uniform(rng, m, 0.0, 1.0, 1.0), "pvalue")
+        incidence = (rng.random((40, m)) < 0.2).astype(np.int8)
+        incidence[0] = 1  # no entity with an empty item set
+        dense = np.triu(rng.random((m, m)) < 0.1, 1)
+        adj = SparseAdjacency.from_dense((dense | dense.T).astype(np.int8))
+        for x in (
+            cov.values,
+            corr.values,
+            fisher_z(corr, 30).z,
+            pvalues_to_z(pvals).z,
+            cooccurrence_pvalues(incidence).values,
+            generate_correlations(adj, 0.5, 30, m).values,
+        ):
+            assert np.array_equal(x, x.T)

@@ -3,7 +3,8 @@
 Independent oracles, defined before any assertions use them:
 
 * ``dense_regularized_laplacian`` — explicit construction of the
-  degree-regularized normalization in plain numpy.
+  degree-regularized normalization in plain numpy, with the upper
+  triangle mirrored onto the lower one.
 * ``matmul_regularized_laplacian`` — the sparse build through
   ``sp.diags`` and two matmuls, kept as the byte reference.
 * ``np.linalg.eigh`` on that dense matrix — reference spectrum for the
@@ -49,7 +50,7 @@ def dense_regularized_laplacian(dense_adj, tau):
     reg = degrees + tau
     scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.where(reg > 0.0, reg, 1.0)), 0.0)
     lap = scale[:, None] * dense_adj * scale[None, :]
-    return (lap + lap.T) / 2.0
+    return np.where(np.tri(len(lap), k=-1, dtype=bool), lap.T, lap)  # upper mirrored
 
 
 def matmul_regularized_laplacian(csr, tau):
@@ -270,7 +271,9 @@ class TestRegularizedEmbedding:
 
 
 class TestRegularizedLaplacian:
-    """The dense branch scales and symmetrizes one new m x m buffer in place."""
+    """The dense branch scales one new m x m buffer and mirrors its upper
+    triangle in place.
+    """
 
     @staticmethod
     def symmetric_weights(m, order):
@@ -287,6 +290,19 @@ class TestRegularizedLaplacian:
             expected = dense_regularized_laplacian(weights, tau_value)
             assert lap.flags.c_contiguous and expected.flags.c_contiguous
             assert lap.tobytes() == expected.tobytes()
+
+    def test_dense_upper_triangle_scales_by_row_then_column_and_is_mirrored(self):
+        weights = self.symmetric_weights(130, "C")
+        lap, degrees, tau_value = community._regularized_laplacian(weights, "auto")
+        scale = 1.0 / np.sqrt(degrees + tau_value)
+        row_then_col = weights * scale[:, None] * scale[None, :]
+        col_then_row = weights * scale[None, :] * scale[:, None]
+        # Rounding tells the two orders apart at some pair, so averaging
+        # the triangles would move that pair off the row-then-column product.
+        assert np.any(np.triu(row_then_col != col_then_row, 1))
+        upper, lower = np.triu_indices(130, 1), np.tril_indices(130, -1)
+        assert lap[upper].tobytes() == row_then_col[upper].tobytes()
+        assert lap[lower].tobytes() == lap.T[lower].tobytes()
 
     def test_dense_branch_holds_one_new_matrix(self):
         weights = self.symmetric_weights(400, "C")
