@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri
+import scipy
 
 from .errors import DegenerateVarianceError, InvalidInputError, ParameterError
 
@@ -204,7 +204,7 @@ def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
     # Phi^{-1}(1 - p) == -Phi^{-1}(p) exactly; the right-hand form avoids the
     # precision loss of forming 1 - p in floating point when p is tiny, so the
     # significant (small-p) end keeps full accuracy.
-    ndtri(z, out=z)
+    scipy.special.ndtri(z, out=z)
     np.negative(z, out=z)
     mirror_upper_in_place(z)
     np.fill_diagonal(z, 0.0)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+import scipy
 
 from .assoc import SymmetricMatrix, mirror_upper_in_place
 from .errors import ConvergenceError, InvalidInputError, ParameterError
@@ -68,7 +67,7 @@ def _regularized_laplacian(weights, tau):
     is left as it is. L is scaled by s_i, then by s_j, and its upper
     triangle is mirrored onto the lower one.
     """
-    if sp.issparse(weights):
+    if scipy.sparse.issparse(weights):
         lap = weights.copy()
         counts = np.diff(lap.indptr)
         degrees = counts.astype(np.float64)
@@ -82,7 +81,7 @@ def _regularized_laplacian(weights, tau):
     reg = degrees + tau_value
     with np.errstate(divide="ignore"):
         scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.maximum(reg, 1e-300)), 0.0)
-    if sp.issparse(lap):
+    if scipy.sparse.issparse(lap):
         lap.data *= np.repeat(scale, counts)
         lap.data *= scale[lap.indices]
         return lap, degrees, tau_value
@@ -90,6 +89,11 @@ def _regularized_laplacian(weights, tau):
     lap *= scale[None, :]
     mirror_upper_in_place(lap)
     return lap, degrees, tau_value
+
+
+def eigsh(lap, k, **kwargs):
+    """scipy.sparse.linalg.eigsh, under a module name that callers can replace."""
+    return scipy.sparse.linalg.eigsh(lap, k=k, **kwargs)
 
 
 def _leading_eigenpairs(lap, k: int, method: str = "auto"):
@@ -111,13 +115,13 @@ def _leading_eigenpairs(lap, k: int, method: str = "auto"):
         raise ParameterError('method must be "auto", "dense", or "sparse"')
 
     if use_dense:
-        dense = lap.toarray() if sp.issparse(lap) else np.asarray(lap, dtype=np.float64)
+        dense = lap.toarray() if scipy.sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
         vals, vecs = np.linalg.eigh(dense)
     else:
         v0 = np.full(m, 1.0 / np.sqrt(m))
         try:
             vals, vecs = eigsh(lap, k=k, which="LM", tol=1e-8, v0=v0, rng=0)
-        except ArpackNoConvergence as exc:
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"eigensolver converged {len(exc.eigenvalues)} of {k} "
                 f"requested eigenpairs"

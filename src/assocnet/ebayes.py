@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+import scipy
 
 from .assoc import AssocMatrix
 from .errors import ConvergenceError, InvalidInputError, ParameterError
@@ -112,12 +112,12 @@ def _log_norm_pdf(z):
 
 def _log_upper_slab(z, a, mu=0.0):
     """log of (a/2) * integral_{mu}^{inf} exp(-a t) * normal_pdf(z - t) dt, z >= 0."""
-    return np.log(a / 2.0) + 0.5 * a * a - a * z + log_ndtr(z - a - mu)
+    return np.log(a / 2.0) + 0.5 * a * a - a * z + scipy.special.log_ndtr(z - a - mu)
 
 
 def _log_lower_slab(z, a):
     """log of (a/2) * integral_{-inf}^{0} exp(a t) * normal_pdf(z - t) dt, z >= 0."""
-    return np.log(a / 2.0) + 0.5 * a * a + a * z + log_ndtr(-z - a)
+    return np.log(a / 2.0) + 0.5 * a * a + a * z + scipy.special.log_ndtr(-z - a)
 
 
 def _log_slab_tails(z, a):
@@ -125,7 +125,7 @@ def _log_slab_tails(z, a):
 
     The slab density is g = (a/2) exp(a^2/2) (exp(l_u) + exp(l_l)).
     """
-    return -a * z + log_ndtr(z - a), a * z + log_ndtr(-z - a)
+    return -a * z + scipy.special.log_ndtr(z - a), a * z + scipy.special.log_ndtr(-z - a)
 
 
 def log_laplace_normal_density(z, a):
@@ -149,10 +149,10 @@ def _slab_ratio(z_abs, a):
     with np.errstate(over="ignore"):
         ratio = np.subtract(a, z_abs)
         ratio *= _SQRT_HALF
-        erfcx(ratio, out=ratio)
+        scipy.special.erfcx(ratio, out=ratio)
         t2 = np.add(z_abs, a)
         t2 *= _SQRT_HALF
-        erfcx(t2, out=t2)
+        scipy.special.erfcx(t2, out=t2)
         ratio += t2
         ratio *= 0.5 * _SQRT_HALF_PI * a
     return ratio, t2
@@ -325,13 +325,10 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     def excess(mu: float) -> float:
         return float(_log_upper_slab(z_abs, a, mu)) - target
 
-    # Imported at its one use, so importing the package skips scipy.optimize.
-    from scipy.optimize import brentq
-
     hi = max(z_abs, 1.0)
     while excess(hi) > 0.0:
         hi *= 2.0
-    mu = brentq(excess, 0.0, hi, xtol=1e-9)
+    mu = scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-9)
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
 
 

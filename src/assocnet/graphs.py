@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .assoc import is_symmetric
 from .errors import InvalidInputError
@@ -102,7 +102,7 @@ class SparseAdjacency:
             out[self.edges[:, 1], self.edges[:, 0]] = 1
         return out
 
-    def to_csr(self) -> sp.csr_matrix:
+    def to_csr(self) -> scipy.sparse.csr_matrix:
         """Symmetric float64 CSR matrix, built from the upper triangle.
 
         Canonical edges are the upper triangle's entries in row-major
@@ -111,7 +111,7 @@ class SparseAdjacency:
         e = self.edges
         indptr = np.searchsorted(e[:, 0], np.arange(self.m + 1))
         data = np.ones(e.shape[0], dtype=np.float64)
-        upper = sp.csr_matrix((data, e[:, 1], indptr), shape=(self.m, self.m))
+        upper = scipy.sparse.csr_matrix((data, e[:, 1], indptr), shape=(self.m, self.m))
         return upper + upper.T
 
     def pair_ids(self) -> np.ndarray:

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .assoc import SymmetricMatrix, fisher_z, mirror_upper_in_place
 from .community import SpectralConfig, detect_communities, spectral_on_continuous
@@ -285,7 +285,7 @@ def generate_network(
             theta = np.where(labels[i + 1 :] == labels[i], theta_in, theta_out)
         else:
             theta = theta_out
-        p = expit(alpha[i] + alpha[i + 1 :] + theta)
+        p = scipy.special.expit(alpha[i] + alpha[i + 1 :] + theta)
         hits = rng.random(m - 1 - i) < p
         chosen = np.flatnonzero(hits) + (i + 1)
         rows.append(np.full(chosen.size, i, dtype=np.int64))
