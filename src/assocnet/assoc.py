@@ -19,7 +19,6 @@ R_MAX = 1.0 - 1e-12
 P_MIN = 1e-15
 
 _KINDS = ("covariance", "correlation", "pvalue")
-_ORIGINS = ("fisher", "inverse-normal")
 _TILE = 64  # rows and columns per tile of _mirror_tiles (32 KiB of float64)
 
 
@@ -66,31 +65,21 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class AssocMatrix:
-    """Symmetric matrix of standardized association scores, zero diagonal.
-
-    dof records the effective degrees of freedom behind Fisher-transformed
-    correlations; inverse-normal scores carry no dof.
-    """
+    """Symmetric matrix of standardized association scores, zero diagonal."""
 
     z: np.ndarray
-    origin: str
-    dof: float | None = None
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z, dtype=np.float64)
         object.__setattr__(self, "z", z)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise InvalidInputError("score matrix must be square")
-        if self.origin not in _ORIGINS:
-            raise ParameterError(f"unknown score origin: {self.origin!r}")
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("scores must be finite")
         if not is_symmetric(z):
             raise InvalidInputError("score matrix must be symmetric")
         if np.any(np.diag(z) != 0.0):
             raise InvalidInputError("score diagonal must be zero")
-        if self.dof is not None and not self.dof > 3:
-            raise ParameterError("dof must exceed 3")
 
     @property
     def m(self) -> int:
@@ -188,7 +177,7 @@ def fisher_z(corr: SymmetricMatrix, dof: float) -> AssocMatrix:
     z *= np.sqrt(dof - 3.0)
     mirror_upper_in_place(z)
     np.fill_diagonal(z, 0.0)
-    return AssocMatrix(z, "fisher", float(dof))
+    return AssocMatrix(z)
 
 
 def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
@@ -208,7 +197,7 @@ def pvalues_to_z(pvals: SymmetricMatrix) -> AssocMatrix:
     np.negative(z, out=z)
     mirror_upper_in_place(z)
     np.fill_diagonal(z, 0.0)
-    return AssocMatrix(z, "inverse-normal", None)
+    return AssocMatrix(z)
 
 
 def cooccurrence_pvalues(incidence: np.ndarray) -> SymmetricMatrix:

@@ -313,7 +313,8 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
         raise ParameterError("spread a must be positive")
     z = float(z)
     z_abs = abs(z)
-    if not _log_detection_margin(z_abs, w, a) > 0.0:
+    # At z = 0 the margin is exactly log w <= 0, but it can round above 0.
+    if z_abs == 0.0 or not _log_detection_margin(z_abs, w, a) > 0.0:
         return PosteriorSummary(z, w, a, 0.0, False)
 
     l_phi = _log_norm_pdf(z_abs)
@@ -328,7 +329,8 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     hi = max(z_abs, 1.0)
     while excess(hi) > 0.0:
         hi *= 2.0
-    mu = scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-9)
+    # With no sign change on [0, hi] the median cannot be told apart from 0.
+    mu = scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-9) if excess(0.0) > 0.0 else 0.0
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
 
 
@@ -364,10 +366,10 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
     replaced by the bracket midpoint, so no row does worse than bisection.
     A row stops once its step is below _STEP_RTOL relative to w; a row
     still moving after _HALVINGS steps raises ConvergenceError. The steps
-    work on a copy of the rows still live after the end-point checks,
-    gathered again whenever the live count falls to half. Every row's
-    steps and stopping point depend on that row alone, so results cannot
-    depend on how rows are batched or chunked across threads.
+    work on a copy of the rows still live after the end-point checks; a
+    row that stops keeps its w while the others step on. Every row's steps
+    and stopping point depend on that row alone, so results cannot depend
+    on how rows are batched or chunked across threads.
     """
     buffer = np.empty_like(inv_beta)
 
@@ -402,12 +404,6 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
         step_old, step = step, np.abs(nxt - x)
         x = np.where(live, nxt, x)
         live &= step > _STEP_RTOL * nxt
-        if 2 * np.count_nonzero(live) <= live.size:
-            w[rows] = x
-            rows, c, lo, hi, x, step, step_old = (
-                v[live] for v in (rows, c, lo, hi, x, step, step_old)
-            )
-            live = live[live]
     if live.any():
         raise ConvergenceError(
             f"weight solve still moving after {_HALVINGS} steps "

@@ -8,12 +8,12 @@ and a "# m=" comment carrying the node count; partitions are TSV
 UTF-8 with LF line endings, and numeric formatting round-trips float64
 exactly.
 
-Each text reader parses with one np.loadtxt call as the lines stream
-from the file, and skips blank and whitespace-only lines. TSV goes
-through _read_tsv, which also takes a header from any "#" comment (the
-last one wins) and ignores fields past the second. _read_tsv keeps no
-line numbers; an error that names a file line counts them again
-(_file_lines). Binary matrices are written by column blocks of about
+Every text reader goes through _read_text, which skips blank lines and
+full-line "#" comments and parses the other lines with one np.loadtxt
+call as they stream from the file. TSV readers take a header from any
+"#" comment (the last one wins) and ignore fields past the second. No
+reader keeps line numbers; an error that names a file line counts them
+again (_file_lines). Binary matrices are written by column blocks of about
 _BLOCK_BYTES, so no full-size copy is made. Edge lists and partitions are
 written by _write_int_pairs, which looks each id up in a table of decimal
 strings and writes blocks of _BLOCK_LINES lines as one string.
@@ -62,44 +62,16 @@ def write_matrix_csv(path, values: np.ndarray, names: list[str] | None = None) -
 def read_matrix_csv(path):
     """Read a CSV matrix; returns (values, names_or_None).
 
-    Blank and whitespace-only lines are skipped. The first other line is
-    a header exactly when any of its fields does not parse as a float.
-    np.loadtxt parses the lines as they stream from the file, so its
-    text is never held whole in memory. A malformed row is named by its
-    1-based file line.
+    Lines are read by _read_text; the first data line is a header exactly
+    when any of its fields does not parse as a float.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        numbers = []  # file line of each line handed on, the header's included
-
-        def content():
-            for number, line in enumerate(fh, start=1):
-                if not line.isspace():
-                    numbers.append(number)
-                    yield line
-
-        lines = content()
-        first = next(lines, None)
-        if first is None:
-            raise InvalidInputError(f"{path}: empty matrix file")
-        tokens = [t.strip() for t in first.split(",")]
-        names = None
-        try:
-            [float(t) for t in tokens]
-        except ValueError:
-            names, first = tokens, next(lines, None)
-            if first is None:
-                raise InvalidInputError(f"{path}: empty matrix body after the header")
-        try:
-            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            # loadtxt counts data rows only: from 1 for a row of another
-            # width, from 0 for a field that does not parse.
-            row = re.search(r"at row (\d+)", str(exc))
-            where = ""
-            if row:
-                index = int(row[1]) - ("columns changed" in str(exc)) + (names is not None)
-                where = f":{numbers[index]}"
-            raise InvalidInputError(f"{path}{where}: malformed matrix CSV ({exc})") from exc
+    _, names, values = _read_text(
+        path, np.float64, ",", None, lambda exc, ragged: f"malformed matrix CSV ({exc})",
+        header=True,
+    )
+    if not len(values):
+        what = "file" if names is None else "body after the header"
+        raise InvalidInputError(f"{path}: empty matrix {what}")
     if names is not None and values.shape[1] != len(names):
         raise InvalidInputError(f"{path}: header and data widths differ")
     return values, names
@@ -152,26 +124,31 @@ def read_matrix_auto(path):
 
 
 def _file_lines(path) -> list[int]:
-    r"""The 1-based file line of each data row that _read_tsv returns.
+    r"""The 1-based file line of each data line that _read_text hands on.
 
-    Lines split as the file iterates them, not as str.splitlines, which
-    also splits on "\v", "\f" and "\x1c". It reads the file again, so
-    only an error that names a line pays for it.
+    A CSV header counts as the first data line. Lines split as the file
+    iterates them, not as str.splitlines, which also splits on "\v", "\f"
+    and "\x1c". It reads the file again, so only an error that names a
+    line pays for it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return [n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#")]
 
 
-def _read_tsv(path, dtype, fields: str):
-    """Read a TSV file once, as its lines stream; returns (comments, table).
+def _read_text(path, dtype, delimiter, usecols, problem, header=False):
+    """Read a text table once, as its lines stream; returns (comments, names, table).
 
-    comments holds the text of each "#" line, "#" and surrounding
-    whitespace removed. table holds, as dtype, the first two
-    tab-separated fields of every other non-blank line (fields past the
-    second are ignored); _file_lines maps its rows to file lines. Only
-    the table is held whole. A short or unparsable line raises
-    InvalidInputError naming the first such line; fields describes the
-    two expected fields.
+    Blank and whitespace-only lines are skipped. comments holds the text
+    of each full-line "#" comment, "#" and surrounding whitespace removed.
+    Every other line is a data line, stripped of surrounding whitespace.
+    With header, the first data line is a header exactly when one of its
+    fields does not parse as a float; names holds its fields, and is None
+    otherwise. The other data lines are parsed as they stream by one
+    np.loadtxt call into table, as dtype (usecols picks the fields; an
+    empty body gives no rows), so only the table is held whole. A line
+    loadtxt rejects raises InvalidInputError naming its file line (from
+    _file_lines) and problem(exc, ragged), ragged being True for a line
+    with too few or too many fields.
     """
     comments = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,19 +161,41 @@ def _read_tsv(path, dtype, fields: str):
                     yield s
 
         lines = rows()
-        first = next(lines, None)
+        first, names = next(lines, None), None
+        if header and first is not None:
+            tokens = [t.strip() for t in first.split(delimiter)]
+            try:
+                [float(t) for t in tokens]
+            except ValueError:
+                names, first = tokens, next(lines, None)
         if first is None:  # np.loadtxt warns on an empty input
-            return comments, np.empty((0, 2), dtype=dtype)
+            return comments, names, np.empty((0, len(usecols or ())), dtype=dtype)
         try:
-            table = np.loadtxt(itertools.chain([first], lines), dtype, delimiter="\t",
-                               comments=None, usecols=(0, 1), ndmin=2)
+            table = np.loadtxt(itertools.chain([first], lines), dtype, delimiter=delimiter,
+                               comments=None, usecols=usecols, ndmin=2)
         except ValueError as exc:
-            # loadtxt counts data rows only: from 1 for a row short of a
-            # column, from 0 for a field that does not parse.
-            short = "column index" in str(exc)
-            row = int(re.search(r"at row (\d+)", str(exc))[1]) - short
-            problem = f"expected {fields}" if short else "non-integer field"
-            raise InvalidInputError(f"{path}:{_file_lines(path)[row]}: {problem}") from exc
+            # loadtxt counts data rows only: from 0 for a field that does
+            # not parse, from 1 for a row of another width.
+            ragged = "could not convert" not in str(exc)
+            row = re.search(r"at row (\d+)", str(exc))
+            where = ""
+            if row:
+                where = f":{_file_lines(path)[int(row[1]) - ragged + (names is not None)]}"
+            raise InvalidInputError(f"{path}{where}: {problem(exc, ragged)}") from exc
+    return comments, names, table
+
+
+def _read_tsv(path, dtype, fields: str):
+    """Read a TSV file with _read_text; returns (comments, table).
+
+    table holds, as dtype, the first two tab-separated fields of every
+    data line (fields past the second are ignored). fields describes the
+    two expected fields in the error for a short line.
+    """
+    comments, _, table = _read_text(
+        path, dtype, "\t", (0, 1),
+        lambda exc, ragged: f"expected {fields}" if ragged else "non-integer field",
+    )
     return comments, table
 
 

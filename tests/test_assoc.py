@@ -310,7 +310,7 @@ class TestTypes:
     def test_assoc_diagonal_must_be_zero(self):
         values = np.array([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(InvalidInputError):
-            AssocMatrix(values, "fisher", 10)
+            AssocMatrix(values)
 
     def test_outputs_exactly_symmetric(self):
         rng = np.random.default_rng(2)

@@ -391,6 +391,15 @@ class TestPosteriorMedian:
         assert summary.median == 0.0
         assert not summary.nonzero
 
+    @pytest.mark.parametrize("z", [0.0, 1e-300, -1e-300])
+    def test_score_at_zero_with_full_weight(self, z):
+        # The detection margin at z = 0 is log 1 = 0 but rounds to +1.1e-16
+        # at this spread; the median there must still be 0.
+        summary = posterior_median(z, 1.0, 1.8028153658576958)
+        assert summary.median == 0.0
+        if z == 0.0:
+            assert not summary.nonzero
+
     def test_spike_dominates_moderate_score(self):
         summary = posterior_median(2.0, 0.1, 0.5)
         assert summary.median == 0.0
@@ -659,9 +668,9 @@ class TestScoreRoot:
             patch.setattr(np, "einsum", counting_einsum)
             batch = ebayes._score_root(c, lo)
         assert np.all(batch[:3] == lo[:3]) and np.all(batch[3:5] == 1.0)
-        # The steps start on the live rows alone and gather again at least twice.
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] < rows - 5 and len(set(sizes)) >= 3
+        # The steps run on the rows whose root is interior, gathered once.
+        interior = np.count_nonzero((batch > lo) & (batch < 1.0))
+        assert interior < rows - 5 and sizes == [interior] * len(sizes)
         for i in range(rows):
             assert ebayes._score_root(c[i:i + 1], lo[i:i + 1])[0] == batch[i]
         with monkeypatch.context() as patch:
@@ -876,7 +885,7 @@ def _random_assoc(rng, m, scale=2.0):
     z = rng.standard_normal((m, m)) * scale
     z = (z + z.T) / 2.0
     np.fill_diagonal(z, 0.0)
-    return AssocMatrix(z, "inverse-normal", None)
+    return AssocMatrix(z)
 
 
 class TestInferAdjacency:
@@ -900,7 +909,7 @@ class TestInferAdjacency:
             assert not np.any(dense[i] & ~row_keep)
 
     def test_all_zero_scores_give_empty_graph(self):
-        assoc = AssocMatrix(np.zeros((12, 12)), "inverse-normal", None)
+        assoc = AssocMatrix(np.zeros((12, 12)))
         adj, _ = infer_adjacency(assoc)
         assert adj.edge_count == 0
 
@@ -915,7 +924,7 @@ class TestInferAdjacency:
         z[np.ix_(block, block)] = 8.0
         np.fill_diagonal(z, 0.0)
         z[0, 29] = z[29, 0] = 2.5
-        assoc = AssocMatrix(z, "inverse-normal", None)
+        assoc = AssocMatrix(z)
         adj, fit = infer_adjacency(assoc)
         assert abs(z[0, 29]) > detection_threshold(fit.w[0], fit.a[0])
         assert abs(z[29, 0]) <= detection_threshold(fit.w[29], fit.a[29])
@@ -925,7 +934,7 @@ class TestInferAdjacency:
 
     def test_two_node_graph_supported(self):
         z = np.array([[0.0, 4.0], [4.0, 0.0]])
-        adj, fit = infer_adjacency(AssocMatrix(z, "inverse-normal", None))
+        adj, fit = infer_adjacency(AssocMatrix(z))
         assert adj.m == 2
         assert np.allclose(fit.w, 1.0)
         assert np.all(fit.threshold[fit.w == 1.0] == 0.0)
@@ -933,14 +942,14 @@ class TestInferAdjacency:
         # every nonzero score, with a threshold of exactly zero.
         z = np.full((30, 30), 9.0)
         np.fill_diagonal(z, 0.0)
-        adj, fit = infer_adjacency(AssocMatrix(z, "inverse-normal", None))
+        adj, fit = infer_adjacency(AssocMatrix(z))
         assert np.all(fit.w == 1.0)
         assert np.all(fit.threshold == 0.0)
         assert adj.edge_count == 30 * 29 // 2
 
     def test_single_node_rejected(self):
         with pytest.raises(InvalidInputError):
-            infer_adjacency(AssocMatrix(np.zeros((1, 1)), "inverse-normal", None))
+            infer_adjacency(AssocMatrix(np.zeros((1, 1))))
         with pytest.raises(InvalidInputError):
             infer_adjacency(np.zeros((5, 5)))
 
@@ -979,7 +988,7 @@ class TestInferAdjacency:
         signal = np.triu(rng.random((m, m)) < 0.01, k=1)
         z[signal | signal.T] += 5.0
         np.fill_diagonal(z, 0.0)
-        assoc = AssocMatrix(z, "inverse-normal", None)
+        assoc = AssocMatrix(z)
         del z, signal
         for threads in (1, 2):
             tracemalloc.start()

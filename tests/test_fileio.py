@@ -133,6 +133,19 @@ class TestMatrixCsv:
         with pytest.raises(InvalidInputError, match=f"bad.csv:{line}: malformed"):
             read_matrix_csv(path)
 
+    def test_comment_first_line_is_not_a_header(self, tmp_path):
+        path = tmp_path / "noted.csv"
+        path.write_text("# c\n1,0\n0,1\n", encoding="utf-8")
+        values, names = read_matrix_csv(path)
+        assert names is None
+        assert np.array_equal(values, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_hash_inside_a_data_line_is_a_malformed_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,0\n0,1 # c\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="bad.csv:2: malformed"):
+            read_matrix_csv(path)
+
     def test_rejects_header_width_mismatch(self, tmp_path):
         path = tmp_path / "width.csv"
         path.write_text("a,b,c\n1.0,2.0\n", encoding="utf-8")
@@ -318,6 +331,36 @@ class TestReadTsv:
         assert comments == ["m=1000000"]
         assert np.array_equal(table, ids)
         assert peak < 1.5 * table.nbytes
+
+
+class TestLineRule:
+    """Every text reader names a bad line by its line in the file."""
+
+    # reader, lines before the data, a good data line, a bad one, message
+    READERS = {
+        "csv": (read_matrix_csv, [], "1,2", "3", "malformed"),
+        "csv-header": (read_matrix_csv, ["a,b"], "1,2", "3,x", "malformed"),
+        "edges": (read_edges_tsv, ["# m=3"], "1\t2", "3", "expected two ids"),
+        "partition": (read_partition_tsv, ["# K=1"], "1\t1", "2\tx", "non-integer"),
+    }
+    # lines put before the first and before the bad data line, line end
+    LAYOUTS = {
+        "blank": (["", ""], "\n"),
+        "whitespace-only": ([" \t ", "   "], "\n"),
+        "comment": (["# note", "  # indented note"], "\n"),
+        "crlf": (["", "# note", " "], "\r\n"),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_line_is_named_by_its_file_line(self, tmp_path, reader, layout):
+        read, head, good, bad, message = self.READERS[reader]
+        filler, end = self.LAYOUTS[layout]
+        lines = [*head, *filler, good, *filler, bad]
+        path = tmp_path / "bad.txt"
+        path.write_bytes((end.join(lines) + end).encode("utf-8"))
+        with pytest.raises(InvalidInputError, match=f"bad.txt:{len(lines)}: {message}"):
+            read(path)
 
 
 def _loop_written(header, pairs):
