@@ -96,7 +96,7 @@ def _parse_tau(text: str):
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: malformed JSON ({exc})") from exc

@@ -6,7 +6,8 @@ column-major float64 data. Graphs are TSV edge lists with 1-based ids
 and a "# m=" comment carrying the node count; partitions are TSV
 (node-id, community-id) with a "# K=" comment. All text output is
 UTF-8 with LF line endings, and numeric formatting round-trips float64
-exactly.
+exactly. Text input is read as UTF-8; a leading byte-order mark is
+skipped.
 
 Every text reader goes through _read_text, which skips blank lines and
 full-line "#" comments and parses the other lines with one np.loadtxt
@@ -43,6 +44,11 @@ _BLOCK_BYTES = 1 << 22
 
 def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _open_read(path):
+    """A text file opened as UTF-8, past a byte-order mark if it has one."""
+    return open(path, "r", encoding="utf-8-sig")
 
 
 def write_matrix_csv(path, values: np.ndarray, names: list[str] | None = None) -> None:
@@ -131,7 +137,7 @@ def _file_lines(path) -> list[int]:
     and "\x1c". It reads the file again, so only an error that names a
     line pays for it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_read(path) as fh:
         return [n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#")]
 
 
@@ -151,7 +157,7 @@ def _read_text(path, dtype, delimiter, usecols, problem, header=False):
     with too few or too many fields.
     """
     comments = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_read(path) as fh:
 
         def rows():
             for s in map(str.strip, fh):
@@ -306,7 +312,7 @@ def read_partition_tsv(path) -> Partition:
 
 def sniff_kind(path) -> str:
     """"adjacency" or "partition", from a "# m=" or "# K=" first line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_read(path) as fh:
         first = next((line.strip() for line in fh if line.strip()), "")
     comment = first.lstrip("#").strip() if first.startswith("#") else ""
     for prefix, kind in (("m=", "adjacency"), ("K=", "partition")):

@@ -21,6 +21,16 @@ per-row generators are seeded in one vectorized pass (_substreams) that
 reproduces that state exactly. Chi-square draws are taken as
 2 * standard_gamma(df / 2), which is how numpy draws them, so every
 simulated value equals a chisquare-based draw bit for bit.
+
+Both pair draws, the network's uniforms and the correlations' Wishart
+variates, walk the packed upper triangle in blocks of whole rows
+(_row_blocks): each row draws into its part of a block buffer, and the
+block is worked through at once. Every uniform is drawn, but expit is
+evaluated only where the uniform could fall below it. Since expit(eta) <
+e^eta = e^alpha_i * e^(alpha_j + theta), a pair off the planted
+communities whose uniform exceeds that product, inflated to cover
+rounding, cannot be an edge; all other pairs get the exact per-pair
+test, so every network is the one that testing every pair gives.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import mmap
 import numbers
 import operator
 from dataclasses import dataclass
@@ -62,7 +73,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_DRAW_BLOCK = 1 << 17  # most pairs per generate_correlations block (1 MiB a buffer)
+_DRAW_BLOCK = 1 << 17  # most pairs per _row_blocks block (1 MiB a float64 buffer)
+_EXP_FLOOR = -700.0  # e^-700 is a normal float64
 
 
 @dataclass(frozen=True)
@@ -271,30 +283,88 @@ def generate_network(
     """Draw one network: logit(p_ij) = alpha_i + alpha_j + theta_ij.
 
     theta_ij is theta_in when i and j share a planted (nonzero) label
-    and theta_out otherwise. Each unordered pair is drawn once from a
-    per-row substream.
+    and theta_out otherwise; alpha, theta_in and theta_out must be
+    finite. Pair (i, j > i) is an edge when expit(alpha_i + alpha_j +
+    theta_ij) exceeds u_ij, the (j - i)-th uniform of row i's substream.
+
+    The rows are drawn in blocks (_row_blocks), and only candidate pairs
+    get the exact test: the planted within pairs, and every pair with
+    u_ij <= e^alpha_i * e^(alpha_j + theta_out), a product inflated by a
+    slack that covers the rounding of both sides. Every other pair fails
+    the exact test too, since expit(eta) < e^eta, so each decision, and
+    the network, is that of testing every pair.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.size
     if partition.m != m:
         raise InvalidInputError("alpha and partition must agree on m")
+    if not np.isfinite(alpha).all():
+        raise ParameterError("alpha must be finite")
+    for name, theta in (("theta_in", theta_in), ("theta_out", theta_out)):
+        if not math.isfinite(theta):
+            raise ParameterError(f"{name} must be finite, not {theta!r}")
     labels = partition.labels
-    rows, cols = [], []
-    for i, rng in enumerate(_substreams(seed, _STREAM_NETWORK, range(m - 1))):
-        if labels[i] > 0:
-            theta = np.where(labels[i + 1 :] == labels[i], theta_in, theta_out)
-        else:
-            theta = theta_out
-        p = scipy.special.expit(alpha[i] + alpha[i + 1 :] + theta)
-        hits = rng.random(m - 1 - i) < p
-        chosen = np.flatnonzero(hits) + (i + 1)
-        rows.append(np.full(chosen.size, i, dtype=np.int64))
-        cols.append(chosen)
-    edges = np.column_stack(
-        [np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-         np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)]
-    )
-    return SparseAdjacency(m, edges)
+    # eta and the bound's exponent each carry a rounding error of a few
+    # ulps of max |alpha| and |theta_out|; a slack of e^(1e-12 (1 + max
+    # |alpha| + |theta_out|)) covers both many times over. The floor keeps
+    # every factor a normal number, so no product loses precision or
+    # turns to 0 * inf; an overflow gives inf, which makes a candidate.
+    with np.errstate(over="ignore"):
+        slack = np.exp(1e-12 * (1.0 + np.abs(alpha).max(initial=0.0) + abs(theta_out)))
+        e_alpha = (np.exp(np.maximum(alpha, _EXP_FLOOR)) * slack).tolist()
+        e_out = np.exp(np.maximum(alpha + theta_out, _EXP_FLOOR))
+    planted = (labels > 0).tolist()
+    capacity, blocks = _row_blocks(m)
+    # The block buffers and the growing edge list live in anonymous maps,
+    # outside the malloc heap. Held in the heap while SparseAdjacency
+    # copies the result, they pushed that copy into the middle of a free
+    # hole that a later m x m array of the same study run needed, and the
+    # heap grew by a matrix (+30 MiB peak RSS in study-m2000 benchmarks).
+    scratch = _mapped(18 * capacity, np.uint8)
+    u, bound = scratch[: 16 * capacity].view(np.float64).reshape(2, capacity)
+    within, candidate = scratch[16 * capacity :].view(bool).reshape(2, capacity)
+    edges, count = _mapped(2 * capacity, np.int64).reshape(-1, 2), 0
+    streams = _substreams(seed, _STREAM_NETWORK, range(m - 1))
+    for start, stop, bounds in blocks:
+        n = bounds[-1]
+        within[:n] = False
+        with np.errstate(over="ignore"):
+            for i, rng, row in zip(range(start, stop), streams, _slices(bounds)):
+                rng.random(out=u[row])
+                np.multiply(e_out[i + 1 :], e_alpha[i], out=bound[row])
+                if planted[i]:
+                    np.equal(labels[i + 1 :], labels[i], out=within[row])
+        hits = np.less_equal(u[:n], bound[:n], out=candidate[:n])
+        hits |= within[:n]
+        at = np.flatnonzero(hits)
+        per_row = np.diff(np.searchsorted(at, bounds))
+        cols = np.repeat(np.arange(start + 1, stop + 1) - bounds[:-1], per_row)
+        cols += at
+        # The exact test, in the operation order of the per-pair
+        # expit(alpha_i + alpha_j + theta_ij) > u_ij.
+        eta = np.repeat(alpha[start:stop], per_row)
+        eta += alpha[cols]
+        eta += np.where(within[at], theta_in, theta_out)
+        keep = scipy.special.expit(eta, out=eta) > u[at]
+        kept = np.count_nonzero(keep)
+        if count + kept > len(edges):  # twice the rows needed, in a new map
+            grown = _mapped(4 * (count + kept), np.int64).reshape(-1, 2)
+            grown[:count] = edges[:count]
+            edges = grown
+        edges[count : count + kept, 0] = np.repeat(np.arange(start, stop), per_row)[keep]
+        edges[count : count + kept, 1] = cols[keep]
+        count += kept
+    return SparseAdjacency(m, edges[:count])
+
+
+def _mapped(n: int, dtype) -> np.ndarray:
+    """A zeroed array of n items in an anonymous memory map of its own.
+
+    Its pages count toward RSS only once written, and they are unmapped
+    with the last array that uses them.
+    """
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
 
 def generate_correlations(
@@ -324,29 +394,22 @@ def generate_correlations(
 
 def _draw_upper_correlations(values, adj, r_gen, nu, seed) -> None:
     """Fill the strict upper triangle of values for generate_correlations."""
-    m = adj.m
-    # Row i's pairs sit at offsets[i]:offsets[i + 1] of the packed upper
-    # triangle. Canonical edges are sorted by their first endpoint, so row
-    # i's edges are edges[bounds[i]:bounds[i + 1]].
-    offsets = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
-    bounds = np.searchsorted(adj.edges[:, 0], np.arange(m + 1))
-    capacity = max(m - 1, min(m * m // 32, _DRAW_BLOCK))
+    # Canonical edges are sorted by their first endpoint, so row i's
+    # edges are edges[first[i]:first[i + 1]].
+    first = np.searchsorted(adj.edges[:, 0], np.arange(adj.m + 1))
+    capacity, blocks = _row_blocks(adj.m)
     buffers = [np.empty(capacity) for _ in range(4)]
-    streams = _substreams(seed, _STREAM_WISHART, range(m - 1))
-    start = 0
-    while start < m - 1:
-        base = offsets[start]
-        stop = int(np.searchsorted(offsets, base + capacity, side="right")) - 1
-        n = offsets[stop] - base
+    streams = _substreams(seed, _STREAM_WISHART, range(adj.m - 1))
+    for start, stop, bounds in blocks:
+        n = bounds[-1]
         c1, c2, noise, r = (buffer[:n] for buffer in buffers)
-        for i, rng in zip(range(start, stop), streams):
-            row = slice(offsets[i] - base, offsets[i + 1] - base)
+        for row, rng in zip(_slices(bounds), streams):
             rng.standard_gamma(nu / 2, out=c1[row])
             rng.standard_gamma((nu - 1) / 2, out=c2[row])
             rng.standard_normal(out=noise[row])
         r[:] = 0.0
-        edges = adj.edges[bounds[start] : bounds[stop]]
-        r[offsets[edges[:, 0]] - base + edges[:, 1] - edges[:, 0] - 1] = r_gen
+        edges = adj.edges[first[start] : first[stop]]
+        r[bounds[edges[:, 0] - start] + edges[:, 1] - edges[:, 0] - 1] = r_gen
         # The Bartlett arithmetic in place, in the operation order of
         # y = r c1 + s n and y / sqrt(y y + s s c2 c2).
         for c in (c1, c2):
@@ -365,9 +428,37 @@ def _draw_upper_correlations(values, adj, r_gen, nu, seed) -> None:
         denominator += s
         np.sqrt(denominator, out=denominator)
         y /= denominator
-        for i in range(start, stop):
-            values[i, i + 1 :] = y[offsets[i] - base : offsets[i + 1] - base]
-        start = stop
+        for i, row in zip(range(start, stop), _slices(bounds)):
+            values[i, i + 1 :] = y[row]
+
+
+def _row_blocks(m: int):
+    """The packed strict upper triangle of an m x m matrix in blocks of whole rows.
+
+    Returns (capacity, blocks). blocks yields (start, stop, bounds) for
+    rows start..stop-1 in order: row i's pairs (i, j > i), in order of j,
+    take positions bounds[i - start]:bounds[i - start + 1] of a block
+    buffer. A block holds at most capacity pairs, about min(m^2 / 32,
+    _DRAW_BLOCK) and at least one row.
+    """
+    offsets = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
+    capacity = max(m - 1, min(m * m // 32, _DRAW_BLOCK))
+
+    def blocks():
+        start = 0
+        while start < m - 1:
+            base = offsets[start]
+            stop = int(np.searchsorted(offsets, base + capacity, side="right")) - 1
+            yield start, stop, offsets[start : stop + 1] - base
+            start = stop
+
+    return capacity, blocks()
+
+
+def _slices(bounds):
+    """The slice of each row of a _row_blocks block."""
+    bounds = bounds.tolist()
+    return map(slice, bounds[:-1], bounds[1:])
 
 
 def generate_ground_truth(config: SimConfig) -> GroundTruth:

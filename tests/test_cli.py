@@ -449,6 +449,17 @@ class TestCommunities:
             assert main(argv) == 0
         assert_same_bytes(dirs[0], dirs[1])
 
+    def test_edges_with_a_byte_order_mark(self, tmp_path):
+        adj, _ = two_cliques(8)
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, adj)
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes("\ufeff".encode("utf-8") + edges.read_bytes())
+        dirs = [tmp_path / "plain", tmp_path / "marked"]
+        for path, out in zip((edges, marked), dirs):
+            assert main(["communities", str(path), "-K", "2", "--output-dir", str(out)]) == 0
+        assert_same_bytes(dirs[0], dirs[1])
+
     def test_rejected_edge_is_named_by_its_line(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
         edges.write_text("# m=3\n1\t2\n\n2\t5\n", encoding="utf-8")
@@ -482,6 +493,15 @@ class TestSimulate:
         assert read_partition_tsv(out / "planted_partition.tsv") == truth.partition
         values, _ = read_matrix_csv(out / "correlations.csv")
         assert np.array_equal(values, corr.values)
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        plain = self.write_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+        dirs = [tmp_path / "plain", tmp_path / "marked"]
+        for path, out in zip((plain, marked), dirs):
+            assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
+        assert_same_bytes(dirs[0], dirs[1])
 
     def test_seed_override_reaches_the_generator(self, tmp_path):
         config_path = self.write_config(tmp_path)

@@ -363,6 +363,42 @@ class TestLineRule:
             read(path)
 
 
+class TestByteOrderMark:
+    """Text input may start with a UTF-8 byte-order mark, which is skipped."""
+
+    BOM = "\ufeff"
+
+    def write(self, path, text):
+        path.write_bytes((self.BOM + text).encode("utf-8"))
+        return path
+
+    def test_headerless_csv(self, tmp_path):
+        values, names = read_matrix_csv(self.write(tmp_path / "m.csv", "1,2\n3,4\n"))
+        assert names is None
+        np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_csv_with_a_named_header(self, tmp_path):
+        values, names = read_matrix_csv(self.write(tmp_path / "m.csv", "a,b\n1,2\n"))
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.0, 2.0]])
+
+    def test_edges_and_partition_tsv(self, tmp_path):
+        edges = self.write(tmp_path / "edges.tsv", "# m=3\n1\t2\n2\t3\n")
+        assert sniff_kind(edges) == "adjacency"
+        np.testing.assert_array_equal(read_edges_tsv(edges).edges, [[0, 1], [1, 2]])
+        partition = self.write(tmp_path / "partition.tsv", "# K=1\n1\t1\n2\t0\n")
+        assert sniff_kind(partition) == "partition"
+        assert read_partition_tsv(partition) == Partition(np.array([1, 0]), 1)
+
+    @pytest.mark.parametrize("reader", TestLineRule.READERS)
+    def test_a_later_bad_line_is_named_by_its_file_line(self, tmp_path, reader):
+        read, head, good, bad, message = TestLineRule.READERS[reader]
+        lines = [*head, "", good, "# note", bad]
+        path = self.write(tmp_path / "bad.txt", "\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=f"bad.txt:{len(lines)}: {message}"):
+            read(path)
+
+
 def _loop_written(header, pairs):
     """The bytes the TSV writers used to write, one f-string per line."""
     return (header + "".join(f"{i}\t{j}\n" for i, j in pairs)).encode("utf-8")

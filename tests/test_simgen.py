@@ -252,6 +252,42 @@ class TestGenerateNetwork:
         with pytest.raises(InvalidInputError):
             generate_network(alpha, part, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "theta_in", "theta_out"])
+    def test_rejects_nonfinite_inputs(self, name, bad):
+        # a NaN propensity used to give a node no edges, silently
+        args = dict(alpha=np.zeros(4), theta_in=1.0, theta_out=0.0)
+        args[name] = np.array([0.0, bad, 0.0, 0.0]) if name == "alpha" else bad
+        part = Partition(np.array([1, 1, 0, 0]), 1)
+        with pytest.raises(ParameterError, match=name):
+            generate_network(args["alpha"], part, args["theta_in"], args["theta_out"], 0)
+
+    @pytest.mark.parametrize(
+        "theta_in, k, community_size",
+        [(50.0, 4, 250), (1.0, 2, 1000)],
+        ids=["study-config", "within-pairs-far-above-edges"],
+    )
+    def test_peak_memory_follows_the_block_and_the_edges(self, theta_in, k, community_size):
+        # The heap holds the returned edges and a few block buffers' worth
+        # of temporaries (the block buffers and the edge list themselves sit
+        # in anonymous maps, which tracemalloc does not see); the second
+        # case has about a million within pairs but few edges, so no
+        # temporary may grow with the within pairs either
+        config = small_config(m=2000, k=k, community_size=community_size,
+                              theta_in=theta_in, seed=3)
+        alpha, part = sample_alpha(config), plant_communities(config)
+        generate_network(alpha, part, theta_in, 1.0, 3)  # load expit first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adj = generate_network(alpha, part, theta_in, 1.0, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block_buffer = 8 * simgen._row_blocks(2000)[0]
+        assert block_buffer < 2000 * 2000 * 8 // 16
+        assert peak < adj.edges.nbytes + 6 * block_buffer
+
     def test_realized_densities_track_the_expected_values(self):
         # large-scale check: realized within/between densities against
         # the quadrature expectation across a ladder of theta_in values
