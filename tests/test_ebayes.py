@@ -856,24 +856,24 @@ class TestSpreadSearch:
             assert np.any((w > floor) & (w < 1.0))
 
     # Passes per block of infer_adjacency(estimate_a=True, threads=2) on the
-    # benchmark's strong (m = 600) and weak (m = 200) inputs, two blocks each,
-    # at simulation seeds 1, 2 and 3. Over seeds 1-40 the strong blocks took 8
-    # or 9 passes and the weak ones 12 to 16.
+    # benchmark's strong (m = 600, six blocks) and weak (m = 200, two blocks)
+    # inputs, at simulation seeds 1, 2 and 3. Over seeds 1-40 the strong
+    # blocks took 8 or 9 passes and the weak ones 12 to 16.
     PINNED_PASSES = {
-        "strong": [(9, 9), (9, 9), (9, 8)],
+        "strong": [(8, 9, 8, 8, 9, 8), (8, 8, 9, 8, 8, 9), (9, 8, 9, 8, 8, 8)],
         "weak": [(14, 15), (13, 14), (13, 13)],
     }
 
     @pytest.mark.parametrize("config", ["strong", "weak"])
     def test_passes_per_benchmark_block_are_pinned(self, monkeypatch, config):
-        m, community_size, r_gen, passes_range = {
-            "strong": (600, 150, 0.8, range(8, 10)),
-            "weak": (200, 50, 0.1, range(12, 17)),
+        m, community_size, r_gen, blocks, passes_range = {
+            "strong": (600, 150, 0.8, 6, range(8, 10)),
+            "weak": (200, 50, 0.1, 2, range(12, 17)),
         }[config]
         for seed, pinned in zip((1, 2, 3), self.PINNED_PASSES[config]):
             z = simulated_rows(m, 4, community_size, r_gen, seed)
             passes = tuple(profile_passes(monkeypatch, block)[1]
-                           for block in np.array_split(z, 2))
+                           for block in np.array_split(z, blocks))
             assert passes == pinned, seed
             assert all(p in passes_range for p in passes)
 
@@ -884,6 +884,16 @@ class TestSpreadSearch:
 def _random_assoc(rng, m, scale=2.0):
     z = rng.standard_normal((m, m)) * scale
     z = (z + z.T) / 2.0
+    np.fill_diagonal(z, 0.0)
+    return AssocMatrix(z)
+
+
+def _sparse_signal_assoc(rng, m):
+    """Sparse strong signal over N(0, 1) noise, so the edge list stays small."""
+    z = rng.standard_normal((m, m))
+    z = (z + z.T) / np.sqrt(2.0)
+    signal = np.triu(rng.random((m, m)) < 0.01, k=1)
+    z[signal | signal.T] += 5.0
     np.fill_diagonal(z, 0.0)
     return AssocMatrix(z)
 
@@ -960,15 +970,15 @@ class TestInferAdjacency:
             adj_one, fit_one = infer_adjacency(assoc, estimate_a, threads=1)
             runs = [infer_adjacency(assoc, estimate_a, threads=3)]
             block_sizes = []
-            fit_rows_unpatched = ebayes.fit_rows
+            fit_sorted = ebayes._fit_sorted
 
-            def counting_fit_rows(z, *args, **kwargs):
-                block_sizes.append(len(z))
-                return fit_rows_unpatched(z, *args, **kwargs)
+            def counting_fit_sorted(z_abs, *args, **kwargs):
+                block_sizes.append(len(z_abs))
+                return fit_sorted(z_abs, *args, **kwargs)
 
             with monkeypatch.context() as patch:
                 patch.setattr(ebayes, "_BLOCK_ENTRIES", assoc.m)
-                patch.setattr(ebayes, "fit_rows", counting_fit_rows)
+                patch.setattr(ebayes, "_fit_sorted", counting_fit_sorted)
                 runs += [infer_adjacency(assoc, estimate_a, threads=n) for n in (1, 3)]
             assert block_sizes == [1] * (2 * assoc.m)  # every row its own block
             for adj, fit in runs:
@@ -979,17 +989,8 @@ class TestInferAdjacency:
                     )
 
     def test_working_memory_stays_below_the_input(self):
-        # Sparse strong signal over N(0, 1) noise, so the edge list stays
-        # small; no m x m intermediate fits under the input's own size.
-        m = 2000
-        rng = np.random.default_rng(24)
-        z = rng.standard_normal((m, m))
-        z = (z + z.T) / np.sqrt(2.0)
-        signal = np.triu(rng.random((m, m)) < 0.01, k=1)
-        z[signal | signal.T] += 5.0
-        np.fill_diagonal(z, 0.0)
-        assoc = AssocMatrix(z)
-        del z, signal
+        # No m x m intermediate fits under the input's own size.
+        assoc = _sparse_signal_assoc(np.random.default_rng(24), 2000)
         for threads in (1, 2):
             tracemalloc.start()
             try:
@@ -1000,6 +1001,42 @@ class TestInferAdjacency:
                 tracemalloc.stop()
             assert adj.edge_count > 0
             assert peak < assoc.z.nbytes, threads
+
+    @pytest.mark.parametrize("estimate_a", [False, True])
+    def test_working_memory_follows_the_block_size(self, estimate_a):
+        # A thread fitting a block holds at most about 7.5 arrays of
+        # _BLOCK_ENTRIES scores at once (measured on seeds 29-31, in the
+        # spread search; 4.8 at the fixed spread).
+        assoc = _sparse_signal_assoc(np.random.default_rng(29), 600)
+        infer_adjacency(assoc, estimate_a)  # SciPy loads its special functions
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                adj, _ = infer_adjacency(assoc, estimate_a, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert adj.edge_count > 0
+            assert peak < 8 * threads * ebayes._BLOCK_ENTRIES * 8, threads
+
+    def test_threads_get_equal_blocks(self, monkeypatch):
+        # ceil(30^2 / 300) = 3 blocks would give one of two threads twice
+        # the work of the other; the count rounds up to a multiple of two.
+        assoc = _random_assoc(np.random.default_rng(28), 30, scale=2.5)
+        block_sizes = []
+        fit_sorted = ebayes._fit_sorted
+
+        def counting_fit_sorted(z_abs, *args):
+            block_sizes.append(len(z_abs))
+            return fit_sorted(z_abs, *args)
+
+        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 300)
+        monkeypatch.setattr(ebayes, "_fit_sorted", counting_fit_sorted)
+        infer_adjacency(assoc, threads=2)
+        assert len(block_sizes) % 2 == 0
+        assert sum(block_sizes) == assoc.m
+        assert max(block_sizes) - min(block_sizes) <= 1
 
     @pytest.mark.parametrize("m", [2, 3, 7, 61])
     def test_block_size_does_not_change_the_fit(self, monkeypatch, m):
@@ -1038,7 +1075,9 @@ class TestInferAdjacency:
     def test_a_failing_block_cannot_hang_the_fit(self, monkeypatch, threads, failing):
         m = 40
         assoc = _random_assoc(np.random.default_rng(27), m, scale=2.5)
-        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)  # five blocks of eight rows
+        # Five blocks of eight rows at one thread; at two and three threads the
+        # count rounds up to six blocks, of six or seven rows.
+        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)
         if failing == "weight-solve":
             calls = itertools.count()
             score_root = ebayes._score_root
