@@ -379,11 +379,7 @@ def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
     lo = np.asarray(lo, dtype=np.float64)
     at_lo = score(inv_beta, lo)[0] < 0.0
-    # S(1) only where S(lo) >= 0, on those rows gathered into the buffer.
-    upper = np.flatnonzero(~at_lo)
-    c = np.take(inv_beta, upper, axis=0, out=buffer[: upper.size], mode="clip")
-    at_hi = np.zeros_like(at_lo)
-    at_hi[upper] = score(c, np.ones(upper.size))[0] >= 0.0
+    at_hi = ~at_lo & (score(inv_beta, np.ones_like(lo))[0] >= 0.0)
     w = np.where(at_lo, lo, 1.0)
     rows = np.flatnonzero(~(at_lo | at_hi))  # the gathered rows, live or not
     live = np.ones(rows.size, dtype=bool)
@@ -575,19 +571,12 @@ def fit_rows(z: np.ndarray, estimate_a: bool = False):
         raise InvalidInputError("need a 2-D array with at least one score per row")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("scores must be finite")
+    rows, n = z.shape
+    # erfcx branches on the range of its argument, so it runs two to three
+    # times faster on sorted rows; nothing is put back, so every sum of the
+    # fit runs in sorted order too.
     z_abs = np.abs(z)
     z_abs.sort(axis=1)
-    return _fit_sorted(z_abs, estimate_a)
-
-
-def _fit_sorted(z_abs, estimate_a):
-    """fit_rows on finite |z| already sorted along each row.
-
-    erfcx branches on the range of its argument, so it runs two to three
-    times faster on sorted rows; nothing is put back, so every sum of the
-    fit runs in sorted order too.
-    """
-    rows, n = z_abs.shape
     log_phi_sum = -0.5 * np.einsum("ij,ij->i", z_abs, z_abs) - n * _LOG_SQRT_2PI
     if estimate_a:
         return _fit_spread(z_abs, log_phi_sum)
@@ -623,15 +612,10 @@ def infer_adjacency(
     A weight solve that does not converge raises ConvergenceError.
 
     Rows are fitted and thresholded in blocks of at most about
-    _BLOCK_ENTRIES scores, which the threads share. The block count is
-    rounded up to a multiple of threads (at most one block per row), so
-    every thread gets the same number of blocks and the blocks differ by
-    at most one row. Each block reads its own rows and fits them alone:
-    the sorted |z| of a row holds its diagonal's 0 first, and the fit
-    takes the rest. So working memory beyond the input is
-    O(threads * block + edges). Each row's fit depends on that row alone,
-    and each threshold on its own (w, a), so any thread count gives the
-    same result.
+    _BLOCK_ENTRIES scores, at least one per thread, which the threads
+    share. Each block reads its own rows and fits them alone, so working
+    memory beyond the input is O(threads * block + edges). Each row's fit
+    depends on that row alone, so any thread count gives the same result.
     """
     if not isinstance(assoc, AssocMatrix):
         raise InvalidInputError("expected an AssocMatrix")
@@ -641,14 +625,12 @@ def infer_adjacency(
     if threads < 1:
         raise ParameterError("threads must be at least 1")
     z = assoc.z
-    n_blocks = -(-m * m // _BLOCK_ENTRIES)
-    n_blocks = -(-n_blocks // threads) * threads
+    n_blocks = max(threads, -(-m * m // _BLOCK_ENTRIES))
     blocks = np.array_split(np.arange(m), min(m, n_blocks))
 
     def fit_block(rows):
-        z_abs = np.abs(z[rows[0] : rows[-1] + 1])
-        z_abs.sort(axis=1)
-        return _fit_sorted(z_abs[:, 1:], estimate_a)
+        scores = z[rows[0] : rows[-1] + 1][np.arange(m) != rows[:, None]]
+        return fit_rows(scores.reshape(rows.size, m - 1), estimate_a)
 
     def block_edges(rows):
         # Columns from the block's first row on, so triu keeps j > i.
@@ -659,9 +641,7 @@ def infer_adjacency(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
-        # Rows at the weight floor share one (w, a); each pair is solved once.
-        pairs, where = np.unique(np.stack([w, a]), axis=1, return_inverse=True)
-        t = detection_threshold(*pairs)[where.reshape(-1)]
+        t = detection_threshold(w, a)
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
     adjacency = SparseAdjacency(m, edges)
     fit = MixtureFit(w, a, ll, bool(estimate_a), t)

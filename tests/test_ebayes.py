@@ -970,15 +970,15 @@ class TestInferAdjacency:
             adj_one, fit_one = infer_adjacency(assoc, estimate_a, threads=1)
             runs = [infer_adjacency(assoc, estimate_a, threads=3)]
             block_sizes = []
-            fit_sorted = ebayes._fit_sorted
+            fit_rows_unpatched = ebayes.fit_rows
 
-            def counting_fit_sorted(z_abs, *args, **kwargs):
-                block_sizes.append(len(z_abs))
-                return fit_sorted(z_abs, *args, **kwargs)
+            def counting_fit_rows(z, *args, **kwargs):
+                block_sizes.append(len(z))
+                return fit_rows_unpatched(z, *args, **kwargs)
 
             with monkeypatch.context() as patch:
                 patch.setattr(ebayes, "_BLOCK_ENTRIES", assoc.m)
-                patch.setattr(ebayes, "_fit_sorted", counting_fit_sorted)
+                patch.setattr(ebayes, "fit_rows", counting_fit_rows)
                 runs += [infer_adjacency(assoc, estimate_a, threads=n) for n in (1, 3)]
             assert block_sizes == [1] * (2 * assoc.m)  # every row its own block
             for adj, fit in runs:
@@ -1004,9 +1004,9 @@ class TestInferAdjacency:
 
     @pytest.mark.parametrize("estimate_a", [False, True])
     def test_working_memory_follows_the_block_size(self, estimate_a):
-        # A thread fitting a block holds at most about 7.5 arrays of
+        # A thread fitting a block holds at most about 8.4 arrays of
         # _BLOCK_ENTRIES scores at once (measured on seeds 29-31, in the
-        # spread search; 4.8 at the fixed spread).
+        # spread search; 5.7 at the fixed spread).
         assoc = _sparse_signal_assoc(np.random.default_rng(29), 600)
         infer_adjacency(assoc, estimate_a)  # SciPy loads its special functions
         for threads in (1, 2):
@@ -1018,25 +1018,7 @@ class TestInferAdjacency:
             finally:
                 tracemalloc.stop()
             assert adj.edge_count > 0
-            assert peak < 8 * threads * ebayes._BLOCK_ENTRIES * 8, threads
-
-    def test_threads_get_equal_blocks(self, monkeypatch):
-        # ceil(30^2 / 300) = 3 blocks would give one of two threads twice
-        # the work of the other; the count rounds up to a multiple of two.
-        assoc = _random_assoc(np.random.default_rng(28), 30, scale=2.5)
-        block_sizes = []
-        fit_sorted = ebayes._fit_sorted
-
-        def counting_fit_sorted(z_abs, *args):
-            block_sizes.append(len(z_abs))
-            return fit_sorted(z_abs, *args)
-
-        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 300)
-        monkeypatch.setattr(ebayes, "_fit_sorted", counting_fit_sorted)
-        infer_adjacency(assoc, threads=2)
-        assert len(block_sizes) % 2 == 0
-        assert sum(block_sizes) == assoc.m
-        assert max(block_sizes) - min(block_sizes) <= 1
+            assert peak < 9 * threads * ebayes._BLOCK_ENTRIES * 8, threads
 
     @pytest.mark.parametrize("m", [2, 3, 7, 61])
     def test_block_size_does_not_change_the_fit(self, monkeypatch, m):
@@ -1075,9 +1057,7 @@ class TestInferAdjacency:
     def test_a_failing_block_cannot_hang_the_fit(self, monkeypatch, threads, failing):
         m = 40
         assoc = _random_assoc(np.random.default_rng(27), m, scale=2.5)
-        # Five blocks of eight rows at one thread; at two and three threads the
-        # count rounds up to six blocks, of six or seven rows.
-        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)
+        monkeypatch.setattr(ebayes, "_BLOCK_ENTRIES", 8 * m)  # five blocks of eight rows
         if failing == "weight-solve":
             calls = itertools.count()
             score_root = ebayes._score_root
