@@ -70,14 +70,14 @@ class MixtureFit:
         object.__setattr__(self, "loglik", ll)
         if not (w.shape == a.shape == ll.shape) or w.ndim != 1:
             raise InvalidInputError("fit vectors must be 1-D and equally long")
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        if not np.all((w >= 0.0) & (w <= 1.0)):
             raise InvalidInputError("weights must lie in [0, 1]")
-        if np.any(a <= 0.0):
-            raise InvalidInputError("spreads must be positive")
+        if not np.all((a > 0.0) & (a < np.inf)):
+            raise InvalidInputError("spreads must be positive and finite")
         if self.threshold is not None:
             t = np.asarray(self.threshold, dtype=np.float64)
             object.__setattr__(self, "threshold", t)
-            if t.shape != w.shape or np.any(t < 0.0):
+            if t.shape != w.shape or not np.all(t >= 0.0):
                 raise InvalidInputError("thresholds must be nonnegative, one per row")
 
     def boundary_rows(self) -> dict[str, list[int]]:
@@ -110,9 +110,16 @@ def _log_norm_pdf(z):
     return -0.5 * np.square(z) - _LOG_SQRT_2PI
 
 
-def _log_upper_slab(z, a, mu=0.0):
-    """log of (a/2) * integral_{mu}^{inf} exp(-a t) * normal_pdf(z - t) dt, z >= 0."""
-    return np.log(a / 2.0) + 0.5 * a * a - a * z + scipy.special.log_ndtr(z - a - mu)
+def _check_spread(a) -> None:
+    """Raise ParameterError unless every spread is positive and finite
+    (NaN fails both comparisons)."""
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ParameterError("spread a must be positive and finite")
+
+
+def _log_upper_slab(z, a):
+    """log of (a/2) * integral_{0}^{inf} exp(-a t) * normal_pdf(z - t) dt, z >= 0."""
+    return np.log(a / 2.0) + 0.5 * a * a - a * z + scipy.special.log_ndtr(z - a)
 
 
 def _log_lower_slab(z, a):
@@ -132,8 +139,7 @@ def log_laplace_normal_density(z, a):
     """Log density of the Laplace(spread a) + standard normal convolution."""
     a = np.asarray(a, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if np.any(a <= 0.0):
-        raise ParameterError("spread a must be positive")
+    _check_spread(a)
     return np.log(a / 2.0) + 0.5 * a * a + np.logaddexp(*_log_slab_tails(z, a))
 
 
@@ -221,8 +227,7 @@ def marginal_loglik(z_row, w, a) -> float:
         raise InvalidInputError("scores must be finite")
     if not 0.0 <= w <= 1.0:
         raise ParameterError("weight must lie in [0, 1]")
-    if a <= 0.0:
-        raise ParameterError("spread a must be positive")
+    _check_spread(a)
     l_phi = _log_norm_pdf(z_row)
     l_g = log_laplace_normal_density(z_row, a)
     with np.errstate(divide="ignore"):
@@ -245,8 +250,7 @@ def weight_lower_bound(n: int, a) -> float | np.ndarray:
     """
     t = universal_threshold(n)
     a = np.asarray(a, dtype=np.float64)
-    if np.any(a <= 0.0):
-        raise ParameterError("spread a must be positive")
+    _check_spread(a)
     out = np.exp(-_log_detection_margin(t, 1.0, a))
     return float(out) if out.ndim == 0 else out
 
@@ -280,8 +284,7 @@ def detection_threshold(w, a):
     )
     if not np.all((w > 0.0) & (w <= 1.0)):
         raise ParameterError("weight must lie in (0, 1]")
-    if not np.all(a > 0.0):
-        raise ParameterError("spread a must be positive")
+    _check_spread(a)
 
     def margin(t):
         return _log_detection_margin(t, w, a)
@@ -302,15 +305,17 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     """Posterior median of mu given one score z at weight w, spread a.
 
     The median is zero unless the posterior mass strictly beyond zero on
-    the side of z exceeds one half; in that case it solves the slab CDF
-    equation by bracketed root-finding.
+    the side of z exceeds one half. Otherwise its size m > 0 solves
+    Phi(|z| - a - m) = z0 = f(z) exp(a|z| - a^2/2) / (w a), f the marginal
+    density, in closed form as EBayesThresh's postmed.laplace does
+    (Johnstone & Silverman 2005). 1 - z0 is taken from log z0, so m stays
+    exact near 0; where rounding puts m below 0 it is 0.
     """
     if not np.isfinite(z):
         raise InvalidInputError("score must be finite")
     if not 0.0 < w <= 1.0:
         raise ParameterError("weight must lie in (0, 1]")
-    if a <= 0.0:
-        raise ParameterError("spread a must be positive")
+    _check_spread(a)
     z = float(z)
     z_abs = abs(z)
     # At z = 0 the margin is exactly log w <= 0, but it can round above 0.
@@ -321,16 +326,8 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     l_g = log_laplace_normal_density(z_abs, a)
     with np.errstate(divide="ignore"):
         l_marginal = np.logaddexp(np.log1p(-w) + l_phi, np.log(w) + l_g)
-    target = float(l_marginal - np.log(2.0 * w))
-
-    def excess(mu: float) -> float:
-        return float(_log_upper_slab(z_abs, a, mu)) - target
-
-    hi = max(z_abs, 1.0)
-    while excess(hi) > 0.0:
-        hi *= 2.0
-    # With no sign change on [0, hi] the median cannot be told apart from 0.
-    mu = scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-9) if excess(0.0) > 0.0 else 0.0
+    log_z0 = l_marginal - np.log(w * a) - 0.5 * a * a + a * z_abs
+    mu = max(0.0, float(z_abs - a + scipy.special.ndtri(-np.expm1(log_z0))))
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
 
 

@@ -247,8 +247,9 @@ class TestSlabDensity:
     def test_rejects_bad_spread(self):
         with pytest.raises(ParameterError):
             laplace_normal_density(1.0, 0.0)
-        with pytest.raises(ParameterError):
-            log_laplace_normal_density(1.0, -1.0)
+        for bad in (-1.0, np.nan, np.inf, np.array([0.5, np.nan])):
+            with pytest.raises(ParameterError, match="spread a must be positive"):
+                log_laplace_normal_density(1.0, bad)
 
 
 # -------------------------------------------------------- marginal loglik
@@ -278,6 +279,11 @@ class TestMarginalLoglik:
             marginal_loglik(np.ones(3), -0.1, 0.5)
         with pytest.raises(ParameterError):
             marginal_loglik(np.ones(3), 1.1, 0.5)
+        with pytest.raises(ParameterError):
+            marginal_loglik(np.ones(3), np.nan, 0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="spread a must be positive"):
+                marginal_loglik(np.ones(3), 0.5, bad)
 
 
 # ------------------------------------------------- thresholds and bounds
@@ -350,9 +356,13 @@ class TestThresholds:
 
     def test_rejects_bad_weights_and_spreads(self):
         for w, a in [(np.array([0.5, 0.0]), 0.5), (np.array([0.5, 1.5]), 0.5),
-                     (np.array([0.5, np.nan]), 0.5), (0.5, np.array([0.5, -1.0]))]:
+                     (np.array([0.5, np.nan]), 0.5), (0.5, np.array([0.5, -1.0])),
+                     (0.5, np.nan), (0.5, np.array([0.5, np.inf]))]:
             with pytest.raises(ParameterError):
                 detection_threshold(w, a)
+        for a in (-1.0, np.nan, np.inf, np.array([0.5, np.nan])):
+            with pytest.raises(ParameterError, match="spread a must be positive"):
+                weight_lower_bound(10, a)
 
     def test_threshold_nonincreasing_in_weight(self):
         for a in (0.1, 0.5, 2.0):
@@ -429,11 +439,20 @@ class TestPosteriorMedian:
                 summary = posterior_median(float(z), w, a)
                 assert summary.nonzero == (z > t), (z, t, w, a)
 
+    def test_medians_just_above_the_threshold_are_small_and_positive(self):
+        for w, a in [(0.3, 0.5), (0.9, 2.0)]:
+            z = detection_threshold(w, a) + 1e-12
+            summary = posterior_median(z, w, a)
+            assert summary.nonzero
+            assert 0.0 < summary.median < 1e-9, (w, a, summary.median)
+
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            posterior_median(1.0, 0.0, 0.5)
-        with pytest.raises(ParameterError):
-            posterior_median(1.0, 0.5, 0.0)
+        for w in (0.0, np.nan):
+            with pytest.raises(ParameterError):
+                posterior_median(1.0, w, 0.5)
+        for a in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="spread a must be positive"):
+                posterior_median(3.0, 0.3, a)
         with pytest.raises(InvalidInputError):
             posterior_median(float("nan"), 0.5, 0.5)
 
@@ -555,13 +574,15 @@ class TestFitting:
         with pytest.raises(InvalidInputError):
             MixtureFit(np.array([0.5, 1.5]), np.array([0.5, 0.5]),
                        np.array([0.0, 0.0]), False, np.array([1.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            MixtureFit(np.array([0.5]), np.array([-1.0]), np.array([0.0]), False,
-                       np.array([1.0]))
+        for w, a in [(0.5, -1.0), (np.nan, 0.5), (0.5, np.nan), (0.5, np.inf)]:
+            with pytest.raises(InvalidInputError):
+                MixtureFit(np.array([w]), np.array([a]), np.array([0.0]), False,
+                           np.array([1.0]))
 
     def test_mixture_fit_rejects_bad_thresholds(self):
         ones = np.ones(2)
-        for bad in (np.array([1.0, -0.5]), np.array([1.0]), np.ones((2, 1))):
+        for bad in (np.array([1.0, -0.5]), np.array([1.0, np.nan]), np.array([1.0]),
+                    np.ones((2, 1))):
             with pytest.raises(InvalidInputError):
                 MixtureFit(0.5 * ones, ones, ones, False, bad)
 

@@ -1,9 +1,10 @@
 """What a fresh interpreter loads of SciPy, and what it may load on threads.
 
 The package reaches SciPy only as ``scipy.<part>.<name>`` at each call
-site, so SciPy imports a part on its first use. These tests run the CLI
-in a new interpreter and compare the SciPy parts in ``sys.modules``:
-module sets, not seconds, so they do not depend on the machine's load.
+site, so SciPy imports a part on its first use. These tests run the CLI,
+or one library call, in a new interpreter and compare the SciPy parts in
+``sys.modules``: module sets, not seconds, so they do not depend on the
+machine's load.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ for argv in json.loads(sys.argv[1]):
         code = exc.code
     seen.append([code, loaded()])
 print(json.dumps(seen))
+"""
+
+# Imports the package, finds one nonzero posterior median and prints the
+# SciPy parts loaded.
+MEDIAN_SCRIPT = f"""
+import json, sys
+import assocnet
+assert assocnet.posterior_median(5.0, 0.5, 0.5).nonzero
+print(json.dumps([name for name in {PARTS!r} if name in sys.modules]))
 """
 
 # Runs cli.main on argv[1] and prints the name of the thread that first
@@ -117,6 +127,12 @@ def test_communities_loads_no_special(tmp_path):
         assert code == 0
         assert "scipy.sparse.linalg" in after
         assert "scipy.special" not in after
+
+
+def test_posterior_median_loads_special_and_no_optimize(tmp_path):
+    loaded = run_fresh(MEDIAN_SCRIPT, None, tmp_path)
+    assert "scipy.special" in loaded
+    assert "scipy.optimize" not in loaded
 
 
 def test_first_special_load_on_two_threads_matches_one_thread(tmp_path, monkeypatch):
