@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .assoc import SymmetricMatrix, mirror_upper_in_place
+from .assoc import SymmetricMatrix, mapped_zeros, mirror_upper_in_place
 from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import Partition, SparseAdjacency
 
@@ -63,8 +63,8 @@ def _regularized_laplacian(weights, tau):
     graph: its degrees are its entry counts per row, and a copy of its
     entries is scaled by s_i, then by s_j, which is symmetric to the bit.
     A dense matrix is read as |weights| with a zero diagonal, built in
-    L, the one new matrix, in the input's own layout; the caller's array
-    is left as it is. L is scaled by s_i, then by s_j, and its upper
+    L, the one new matrix, mapped in the input's own layout; the caller's
+    array is left as it is. L is scaled by s_i, then by s_j, and its upper
     triangle is mirrored onto the lower one.
     """
     if scipy.sparse.issparse(weights):
@@ -72,7 +72,8 @@ def _regularized_laplacian(weights, tau):
         counts = np.diff(lap.indptr)
         degrees = counts.astype(np.float64)
     else:
-        lap = np.abs(weights, dtype=np.float64)
+        lap = mapped_zeros(weights.shape)
+        lap = np.abs(weights, out=lap.T if np.isfortran(weights) else lap)
         np.fill_diagonal(lap, 0.0)
         degrees = lap.sum(axis=1)
         if not lap.flags.c_contiguous:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import mmap
 import numbers
 import operator
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .assoc import SymmetricMatrix, fisher_z, mirror_upper_in_place
+from .assoc import SymmetricMatrix, fisher_z, mapped_zeros, mirror_upper_in_place
 from .community import SpectralConfig, detect_communities, spectral_on_continuous
 from .ebayes import infer_adjacency
 from .errors import InvalidInputError, ParameterError
@@ -315,15 +314,12 @@ def generate_network(
         e_out = np.exp(np.maximum(alpha + theta_out, _EXP_FLOOR))
     planted = (labels > 0).tolist()
     capacity, blocks = _row_blocks(m)
-    # The block buffers and the growing edge list live in anonymous maps,
-    # outside the malloc heap. Held in the heap while SparseAdjacency
-    # copies the result, they pushed that copy into the middle of a free
-    # hole that a later m x m array of the same study run needed, and the
-    # heap grew by a matrix (+30 MiB peak RSS in study-m2000 benchmarks).
-    scratch = _mapped(18 * capacity, np.uint8)
+    # The block buffers and the growing edge list live in anonymous maps:
+    # pages they never write cost no memory, and freeing them leaves no hole.
+    scratch = mapped_zeros(18 * capacity, np.uint8)
     u, bound = scratch[: 16 * capacity].view(np.float64).reshape(2, capacity)
     within, candidate = scratch[16 * capacity :].view(bool).reshape(2, capacity)
-    edges, count = _mapped(2 * capacity, np.int64).reshape(-1, 2), 0
+    edges, count = mapped_zeros(2 * capacity, np.int64).reshape(-1, 2), 0
     streams = _substreams(seed, _STREAM_NETWORK, range(m - 1))
     for start, stop, bounds in blocks:
         n = bounds[-1]
@@ -348,23 +344,13 @@ def generate_network(
         keep = scipy.special.expit(eta, out=eta) > u[at]
         kept = np.count_nonzero(keep)
         if count + kept > len(edges):  # twice the rows needed, in a new map
-            grown = _mapped(4 * (count + kept), np.int64).reshape(-1, 2)
+            grown = mapped_zeros(4 * (count + kept), np.int64).reshape(-1, 2)
             grown[:count] = edges[:count]
             edges = grown
         edges[count : count + kept, 0] = np.repeat(np.arange(start, stop), per_row)[keep]
         edges[count : count + kept, 1] = cols[keep]
         count += kept
     return SparseAdjacency(m, edges[:count])
-
-
-def _mapped(n: int, dtype) -> np.ndarray:
-    """A zeroed array of n items in an anonymous memory map of its own.
-
-    Its pages count toward RSS only once written, and they are unmapped
-    with the last array that uses them.
-    """
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
 
 def generate_correlations(
@@ -386,7 +372,7 @@ def generate_correlations(
         raise ParameterError("r_gen must lie in (0, 1]")
     if nu < 4:
         raise ParameterError("nu must be at least 4")
-    values = np.zeros((adj.m, adj.m))
+    values = mapped_zeros((adj.m, adj.m))
     _draw_upper_correlations(values, adj, r_gen, nu, seed)
     mirror_upper_in_place(values)
     return SymmetricMatrix(values, "correlation")

@@ -331,15 +331,15 @@ def _symmetric_uniform(rng, m, low, high, diagonal):
 
 
 class TestScoreTransformMemory:
-    """fisher_z and pvalues_to_z work in one new m x m buffer, whose upper
-    triangle they mirror in place.
+    """fisher_z and pvalues_to_z work in one new m x m buffer, in a memory
+    map of its own, whose upper triangle they mirror in place.
 
     Oracle: the same transforms written as whole-matrix expressions,
     which allocate a new array at every step.
     """
 
     @staticmethod
-    def traced_peak(fn, *args):
+    def traced_peak(mapped_bytes, fn, *args):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -347,31 +347,35 @@ class TestScoreTransformMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        return out, peak
+        return out, peak + sum(mapped_bytes)
 
-    def test_fisher_z(self):
+    def test_fisher_z(self, mapped_bytes):
         values = _symmetric_uniform(np.random.default_rng(8), 400, -1.0, 1.0, 1.0)
         values[0, 1] = values[1, 0] = 1.0  # clamped to R_MAX
         before = values.copy()
         corr = SymmetricMatrix(values, "correlation")
-        assoc, peak = self.traced_peak(fisher_z, corr, 60)
+        assoc, peak = self.traced_peak(mapped_bytes, fisher_z, corr, 60)
         z = np.sqrt(57.0) * np.arctanh(np.clip(before, -R_MAX, R_MAX))
         z = (z + z.T) / 2.0
         np.fill_diagonal(z, 0.0)
         assert np.array_equal(assoc.z, z)
         assert np.array_equal(values, before)
+        assert mapped_bytes == [values.nbytes]
         assert peak < 1.2 * values.nbytes
 
-    def test_pvalues_to_z(self):
+    def test_pvalues_to_z(self, mapped_bytes):
         values = _symmetric_uniform(np.random.default_rng(9), 400, 0.0, 1.0, 1.0)
         values[0, 1] = values[1, 0] = 0.0  # clamped to P_MIN
         before = values.copy()
-        assoc, peak = self.traced_peak(pvalues_to_z, SymmetricMatrix(values, "pvalue"))
+        assoc, peak = self.traced_peak(
+            mapped_bytes, pvalues_to_z, SymmetricMatrix(values, "pvalue")
+        )
         z = -ndtri(np.clip(before, P_MIN, 1.0 - P_MIN))
         z = (z + z.T) / 2.0
         np.fill_diagonal(z, 0.0)
         assert np.array_equal(assoc.z, z)
         assert np.array_equal(values, before)
+        assert mapped_bytes == [values.nbytes]
         assert peak < 1.2 * values.nbytes
 
     def test_column_major_input_gives_row_major_scores(self):
@@ -416,14 +420,17 @@ class TestCovarianceTransformsInPlace:
         corr = correlation_from_covariance(cov)
         assert np.array_equal(corr.values, self.old_correlation(cov.values))
 
-    def test_correlation_needs_one_new_buffer(self):
+    def test_correlation_needs_one_new_buffer(self, mapped_bytes):
         rng = np.random.default_rng(11)
         base = rng.normal(size=(300, 400))
         cov = SymmetricMatrix(base.T @ base + np.eye(400), "covariance")
         before = cov.values.copy()
-        corr, peak = TestScoreTransformMemory.traced_peak(correlation_from_covariance, cov)
+        corr, peak = TestScoreTransformMemory.traced_peak(
+            mapped_bytes, correlation_from_covariance, cov
+        )
         assert np.array_equal(corr.values, self.old_correlation(before))
         assert np.array_equal(cov.values, before)
+        assert mapped_bytes == [before.nbytes]
         assert peak < 1.2 * before.nbytes
 
 
