@@ -31,7 +31,6 @@ from .ebayes import (
     fit_row,
     fit_rows,
     infer_adjacency,
-    laplace_normal_density,
     marginal_loglik,
     posterior_median,
     universal_threshold,
@@ -100,7 +99,6 @@ __all__ = [
     "generate_ground_truth",
     "generate_network",
     "infer_adjacency",
-    "laplace_normal_density",
     "marginal_loglik",
     "nmi",
     "plant_communities",

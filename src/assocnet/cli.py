@@ -30,7 +30,7 @@ from .assoc import (
 )
 from .community import SpectralConfig, detect_communities_report, select_num_communities
 from .ebayes import infer_adjacency
-from .errors import AssocnetError, ConvergenceError, InvalidInputError, ParameterError
+from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .fileio import (
     canonical_json,
     read_edges_tsv,
@@ -55,10 +55,6 @@ from .simgen import (
     generate_ground_truth,
     run_study,
 )
-
-
-class UsageError(AssocnetError):
-    """Flag or argument combinations the parser cannot express."""
 
 
 def _out_dir(args) -> Path:
@@ -90,7 +86,7 @@ def _parse_tau(text: str):
     try:
         value = float(text)
     except ValueError:
-        raise UsageError('--tau must be "auto" or a finite nonnegative number')
+        raise ParameterError('--tau must be "auto" or a finite nonnegative number')
     return value
 
 
@@ -105,10 +101,10 @@ def _load_json(path) -> dict:
 def cmd_infer(args, clock: _StageClock):
     if args.kind == "pvalue":
         if args.nu is not None:
-            raise UsageError("--nu does not apply to p-value input")
+            raise ParameterError("--nu does not apply to p-value input")
     else:
         if args.nu is None:
-            raise UsageError(f"--nu is required for {args.kind} input")
+            raise ParameterError(f"--nu is required for {args.kind} input")
     values, _ = read_matrix_auto(args.input)
     matrix = SymmetricMatrix(values, args.kind)
     clock.lap("read")
@@ -214,7 +210,7 @@ def cmd_study(args, clock: _StageClock):
 def cmd_evaluate(args, clock: _StageClock):
     kind = sniff_kind(args.truth)
     if sniff_kind(args.candidate) != kind:
-        raise UsageError("cannot compare a partition with an adjacency")
+        raise ParameterError("cannot compare a partition with an adjacency")
     read = read_partition_tsv if kind == "partition" else read_edges_tsv
     truth, candidate = read(args.truth), read(args.candidate)
     clock.lap("read")
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
             _out_dir(args), args.command, __version__, inputs, config, seed, clock.timings()
         )
         return 0
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

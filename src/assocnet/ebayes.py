@@ -7,19 +7,21 @@ marginal maximum likelihood, borrowing strength across the row. An entry
 is kept when the posterior median of mu is nonzero, and an edge survives
 only when both of its endpoint rows keep it.
 
-The public densities and tail masses are evaluated in log space so that
-scores far into the tails (|z| in the hundreds after clamping) remain
-exact. The row fit needs only the slab-to-null ratio g / phi, which it
-takes from two scaled complementary error functions (erfcx), with a
-closed form for its log where the ratio overflows. Every row is fitted
-on its own |z| sorted once, so its fit depends only on the multiset of
-its scores, not on their order or on the other rows.
+One kernel evaluates the slab: _slab_ratio gives the slab-to-null ratio
+g / phi from two scaled complementary error functions (erfcx), and
+_log_ratio_overflow its log in closed form where the ratio overflows, so
+scores far into the tails (|z| in the hundreds after clamping) stay
+exact. The row fit, the detection threshold, the weight floor and the
+log density all read g / phi, or the slab mass on either side of zero,
+from that pair. Every row is fitted on its own |z| sorted once, so its
+fit depends only on the multiset of its scores, not on their order or
+on the other rows.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -51,15 +53,15 @@ class MixtureFit:
     """Per-row mixture estimates: weight, slab spread, maximized loglik,
     and detection threshold t_i (the row keeps scores with |z| > t_i).
 
-    infer_adjacency always fills threshold; it is None only in fits built
-    by hand from the first four fields.
+    threshold is not a constructor argument: it is derived from (w, a) as
+    detection_threshold(w, a).
     """
 
     w: np.ndarray
     a: np.ndarray
     loglik: np.ndarray
     estimated_a: bool
-    threshold: np.ndarray | None = None
+    threshold: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
@@ -70,15 +72,11 @@ class MixtureFit:
         object.__setattr__(self, "loglik", ll)
         if not (w.shape == a.shape == ll.shape) or w.ndim != 1:
             raise InvalidInputError("fit vectors must be 1-D and equally long")
-        if not np.all((w >= 0.0) & (w <= 1.0)):
-            raise InvalidInputError("weights must lie in [0, 1]")
+        if not np.all((w > 0.0) & (w <= 1.0)):
+            raise InvalidInputError("weights must lie in (0, 1]")
         if not np.all((a > 0.0) & (a < np.inf)):
             raise InvalidInputError("spreads must be positive and finite")
-        if self.threshold is not None:
-            t = np.asarray(self.threshold, dtype=np.float64)
-            object.__setattr__(self, "threshold", t)
-            if t.shape != w.shape or not np.all(t >= 0.0):
-                raise InvalidInputError("thresholds must be nonnegative, one per row")
+        object.__setattr__(self, "threshold", detection_threshold(w, a))
 
     def boundary_rows(self) -> dict[str, list[int]]:
         """Indices of the rows whose fit sits on a boundary.
@@ -117,32 +115,6 @@ def _check_spread(a) -> None:
         raise ParameterError("spread a must be positive and finite")
 
 
-def _log_upper_slab(z, a):
-    """log of (a/2) * integral_{0}^{inf} exp(-a t) * normal_pdf(z - t) dt, z >= 0."""
-    return np.log(a / 2.0) + 0.5 * a * a - a * z + scipy.special.log_ndtr(z - a)
-
-
-def _log_lower_slab(z, a):
-    """log of (a/2) * integral_{-inf}^{0} exp(a t) * normal_pdf(z - t) dt, z >= 0."""
-    return np.log(a / 2.0) + 0.5 * a * a + a * z + scipy.special.log_ndtr(-z - a)
-
-
-def _log_slab_tails(z, a):
-    """l_u = -a z + log Phi(z - a) and l_l = a z + log Phi(-z - a).
-
-    The slab density is g = (a/2) exp(a^2/2) (exp(l_u) + exp(l_l)).
-    """
-    return -a * z + scipy.special.log_ndtr(z - a), a * z + scipy.special.log_ndtr(-z - a)
-
-
-def log_laplace_normal_density(z, a):
-    """Log density of the Laplace(spread a) + standard normal convolution."""
-    a = np.asarray(a, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    _check_spread(a)
-    return np.log(a / 2.0) + 0.5 * a * a + np.logaddexp(*_log_slab_tails(z, a))
-
-
 def _slab_ratio(z_abs, a):
     """The slab-to-null ratio g / phi at |z| and the erfcx term T2 it sums.
 
@@ -151,12 +123,15 @@ def _slab_ratio(z_abs, a):
     EBayesThresh's beta.laplace (Johnstone & Silverman 2005). The ratio is
     inf past |z| of about a + 37.7, or earlier when a > 1.6; there its log
     is _log_ratio_overflow to double precision.
+
+    U0 / phi = c T1 and L0 / phi = c T2, c = (a/2) sqrt(pi/2), are the slab
+    mass above and below zero over phi. Scalar inputs give 0-d arrays.
     """
     with np.errstate(over="ignore"):
-        ratio = np.subtract(a, z_abs)
+        ratio = np.subtract(a, z_abs, out=np.empty(np.broadcast(a, z_abs).shape))
         ratio *= _SQRT_HALF
         scipy.special.erfcx(ratio, out=ratio)
-        t2 = np.add(z_abs, a)
+        t2 = np.add(z_abs, a, out=np.empty_like(ratio))
         t2 *= _SQRT_HALF
         scipy.special.erfcx(t2, out=t2)
         ratio += t2
@@ -190,28 +165,32 @@ def _slab_slope(z_abs, a, ratio, t2):
     return slope
 
 
-def laplace_normal_density(z, a):
-    """Density of mu + noise at z, mu ~ Laplace(a), noise ~ N(0, 1).
-
-    Evaluated from log-space tail sums, so it stays finite and positive
-    for arbitrarily large |z|.
-    """
-    return np.exp(log_laplace_normal_density(z, a))
+def log_laplace_normal_density(z, a):
+    """Log density of the Laplace(spread a) + standard normal convolution,
+    log phi(z) + log(g / phi) with g / phi from _slab_ratio."""
+    a = np.asarray(a, dtype=np.float64)
+    z_abs = np.abs(np.asarray(z, dtype=np.float64))
+    _check_spread(a)
+    ratio = _slab_ratio(z_abs, a)[0]
+    log_ratio = np.where(np.isinf(ratio), _log_ratio_overflow(z_abs, a), np.log(ratio))
+    return _log_norm_pdf(z_abs) + log_ratio
 
 
 def _log_detection_margin(z_abs, w, a):
     """log of w * D(z) minus log of phi(z), where D = U0 - L0 + phi.
 
     The posterior median at z is nonzero exactly when this margin is
-    positive. U0 and L0 are the slab mass above and below zero.
+    positive. U0 and L0 are the slab mass above and below zero, so
+    (U0 - L0) / phi = g / phi - 2 c T2 from _slab_ratio; where g / phi
+    overflows, log(D / phi) is _log_ratio_overflow. At z = 0, T1 = T2 and
+    the margin is log w exactly.
     """
-    l_u0 = _log_upper_slab(z_abs, a)
-    l_l0 = _log_lower_slab(z_abs, a)
-    l_phi = _log_norm_pdf(z_abs)
-    ratio = np.exp(l_phi - l_u0) - np.exp(l_l0 - l_u0)
-    log_d = l_u0 + np.log1p(ratio)
+    ratio, t2 = _slab_ratio(z_abs, a)
+    t2 *= a * _SQRT_HALF_PI
+    ratio -= t2
+    log_d = np.where(np.isinf(ratio), _log_ratio_overflow(z_abs, a), np.log1p(ratio))
     with np.errstate(divide="ignore"):
-        return np.log(w) + log_d - l_phi
+        return np.log(w) + log_d
 
 
 def marginal_loglik(z_row, w, a) -> float:
@@ -260,14 +239,14 @@ def _weight_floor_slope(n: int, a: np.ndarray) -> np.ndarray:
 
     The bound is phi(t) / (U0 - L0 + phi(t)) at t = sqrt(2 log n), with U0
     and L0 the slab mass above and below zero; dU0/da - dL0/da is
-    (1/a + a)(U0 - L0) - t (U0 + L0), the phi(t) terms cancelling.
+    (1/a + a)(U0 - L0) - t (U0 + L0), the phi(t) terms cancelling. U0 + L0
+    and U0 - L0 over phi(t) come from _slab_ratio, as in the margin.
     """
     t = universal_threshold(n)
-    w_lo = weight_lower_bound(n, a)
-    l_phi = _log_norm_pdf(t)
-    upper = np.exp(_log_upper_slab(t, a) - l_phi)
-    lower = np.exp(_log_lower_slab(t, a) - l_phi)
-    return -w_lo * w_lo * ((1.0 / a + a) * (upper - lower) - t * (upper + lower))
+    total, t2 = _slab_ratio(t, a)
+    diff = total - a * _SQRT_HALF_PI * t2
+    w_lo = 1.0 / (1.0 + diff)
+    return -w_lo * w_lo * ((1.0 / a + a) * diff - t * total)
 
 
 def detection_threshold(w, a):
@@ -318,8 +297,7 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     _check_spread(a)
     z = float(z)
     z_abs = abs(z)
-    # At z = 0 the margin is exactly log w <= 0, but it can round above 0.
-    if z_abs == 0.0 or not _log_detection_margin(z_abs, w, a) > 0.0:
+    if not _log_detection_margin(z_abs, w, a) > 0.0:
         return PosteriorSummary(z, w, a, 0.0, False)
 
     l_phi = _log_norm_pdf(z_abs)
@@ -638,8 +616,7 @@ def infer_adjacency(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         w, a, ll = map(np.concatenate, zip(*pool.map(fit_block, blocks)))
-        t = detection_threshold(w, a)
+        fit = MixtureFit(w, a, ll, bool(estimate_a))
+        t = fit.threshold
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
-    adjacency = SparseAdjacency(m, edges)
-    fit = MixtureFit(w, a, ll, bool(estimate_a), t)
-    return adjacency, fit
+    return SparseAdjacency(m, edges), fit

@@ -345,17 +345,15 @@ def canonical_json(obj) -> str:
 def write_mixture_fit_json(path, fit, params: dict) -> None:
     """Write per-row mixture estimates plus run parameters as JSON.
 
-    "threshold" is null for a fit that carries no detection thresholds.
     "w_at_floor", "w_at_one" and "a_at_bound" list the rows whose fit
     sits on a boundary (MixtureFit.boundary_rows).
     """
-    t = fit.threshold
     payload = {
         "estimated_a": fit.estimated_a,
         "w": [float(x) for x in fit.w],
         "a": [float(x) for x in fit.a],
         "loglik": [float(x) for x in fit.loglik],
-        "threshold": None if t is None else [float(x) for x in t],
+        "threshold": [float(x) for x in fit.threshold],
         **fit.boundary_rows(),
         "params": params,
     }

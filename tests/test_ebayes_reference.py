@@ -1,15 +1,19 @@
-"""The row fit against a copy of its earlier log-space form.
+"""The slab kernel against copies of its earlier log-space forms.
 
-The fit now works on the slab-to-null ratio beta = g / phi - 1 taken from
-two erfcx terms. Below is a verbatim copy of the fit it replaced, which
-formed log g from two log_ndtr tails and combined them with logaddexp.
-On simulated score matrices, including ones whose largest scores make
-g / phi overflow, both fits must keep exactly the same edges and agree
-on the weights to within rounding.
+Every slab evaluation now reads g / phi, or the slab mass on either side
+of zero, from the erfcx pair of ebayes._slab_ratio. Below are verbatim
+copies of the log_ndtr forms it replaced: the half-slabs U0 and L0, the
+detection margin, the weight floor and its slope, the density's tails,
+and the fit that formed log g from those tails and combined them with
+logaddexp. The margin, the floor and the density must agree with their
+copies to within rounding. On simulated score matrices, including ones
+whose largest scores make g / phi overflow, both fits must keep exactly
+the same edges and agree on the weights to within rounding.
 """
 
 import numpy as np
 import pytest
+import scipy.special
 
 from assocnet import ebayes
 from assocnet.assoc import fisher_z
@@ -21,16 +25,67 @@ from assocnet.ebayes import (
     A_DEFAULT,
     A_MAX,
     A_MIN,
+    _log_detection_margin,
     _log_norm_pdf,
-    _log_slab_tails,
     _weight_floor_slope,
     detection_threshold,
     infer_adjacency,
     log_laplace_normal_density,
+    universal_threshold,
     weight_lower_bound,
 )
 from assocnet.errors import ConvergenceError
 from assocnet.simgen import SimConfig, generate_correlations, generate_ground_truth
+
+# --------------------------------------------------- log_ndtr slab forms
+
+
+def _log_upper_slab(z, a):
+    """log of (a/2) * integral_{0}^{inf} exp(-a t) * normal_pdf(z - t) dt, z >= 0."""
+    return np.log(a / 2.0) + 0.5 * a * a - a * z + scipy.special.log_ndtr(z - a)
+
+
+def _log_lower_slab(z, a):
+    """log of (a/2) * integral_{-inf}^{0} exp(a t) * normal_pdf(z - t) dt, z >= 0."""
+    return np.log(a / 2.0) + 0.5 * a * a + a * z + scipy.special.log_ndtr(-z - a)
+
+
+def _log_slab_tails(z, a):
+    """l_u = -a z + log Phi(z - a) and l_l = a z + log Phi(-z - a).
+
+    The slab density is g = (a/2) exp(a^2/2) (exp(l_u) + exp(l_l)).
+    """
+    return -a * z + scipy.special.log_ndtr(z - a), a * z + scipy.special.log_ndtr(-z - a)
+
+
+def log_space_density(z, a):
+    """Log density of the Laplace(spread a) + standard normal convolution."""
+    return np.log(a / 2.0) + 0.5 * a * a + np.logaddexp(*_log_slab_tails(z, a))
+
+
+def log_space_margin(z_abs, w, a):
+    """log of w * D(z) minus log of phi(z), where D = U0 - L0 + phi."""
+    l_u0 = _log_upper_slab(z_abs, a)
+    l_l0 = _log_lower_slab(z_abs, a)
+    l_phi = _log_norm_pdf(z_abs)
+    ratio = np.exp(l_phi - l_u0) - np.exp(l_l0 - l_u0)
+    log_d = l_u0 + np.log1p(ratio)
+    with np.errstate(divide="ignore"):
+        return np.log(w) + log_d - l_phi
+
+
+def log_space_weight_floor(n, a):
+    return np.exp(-log_space_margin(universal_threshold(n), 1.0, a))
+
+
+def log_space_weight_floor_slope(n, a):
+    t = universal_threshold(n)
+    w_lo = log_space_weight_floor(n, a)
+    l_phi = _log_norm_pdf(t)
+    upper = np.exp(_log_upper_slab(t, a) - l_phi)
+    lower = np.exp(_log_lower_slab(t, a) - l_phi)
+    return -w_lo * w_lo * ((1.0 / a + a) * (upper - lower) - t * (upper + lower))
+
 
 # ------------------------------------------------- log-space reference fit
 
@@ -40,7 +95,7 @@ def _log_slab_and_slope(z, a, l_phi):
 
     d log g / da = 1/a + a + z tanh((l_l - l_u) / 2) - a phi(z) / g, with
     the tails l_u, l_l of _log_slab_tails and l_phi = log phi(z). The
-    value equals log_laplace_normal_density bit for bit.
+    value equals log_space_density bit for bit.
     """
     l_u, l_l = _log_slab_tails(z, a)
     l_g = np.logaddexp(l_u, l_l)
@@ -112,7 +167,7 @@ def _weights_and_mixture(l_g, l_phi, lo):
 def _profile_with_slope(z_abs, l_phi, a):
     n = z_abs.shape[1]
     l_g, dlog_g = _log_slab_and_slope(z_abs, a[:, None], l_phi)
-    lo = weight_lower_bound(n, a)
+    lo = log_space_weight_floor(n, a)
     w, l_mix = _weights_and_mixture(l_g, l_phi, lo)
     slab_share = np.log(w)[:, None] + l_g
     slab_share -= l_mix
@@ -121,7 +176,7 @@ def _profile_with_slope(z_abs, l_phi, a):
     if floor.any():
         l_mix_f = l_mix[floor]
         score = np.exp(l_g[floor] - l_mix_f) - np.exp(l_phi[floor] - l_mix_f)
-        slope[floor] += score.sum(axis=1) * _weight_floor_slope(n, a[floor])
+        slope[floor] += score.sum(axis=1) * log_space_weight_floor_slope(n, a[floor])
     return w, l_mix.sum(axis=1), slope
 
 
@@ -197,9 +252,9 @@ def log_space_fit_rows(z, estimate_a):
         z_abs = np.abs(z)
         return _fit_spread(z_abs, _log_norm_pdf(z_abs))
     a = np.full(rows, A_DEFAULT)
-    l_g = log_laplace_normal_density(np.abs(z), a[:, None])
+    l_g = log_space_density(np.abs(z), a[:, None])
     l_phi = _log_norm_pdf(z)
-    w, l_mix = _weights_and_mixture(l_g, l_phi, weight_lower_bound(n, a))
+    w, l_mix = _weights_and_mixture(l_g, l_phi, log_space_weight_floor(n, a))
     return w, a, l_mix.sum(axis=1)
 
 
@@ -228,3 +283,42 @@ def test_fit_matches_the_log_space_fit(seed, r_gen, estimate_a):
     t = detection_threshold(w_ref, a_ref)
     upper = np.triu(np.abs(z) > np.maximum(t[:, None], t[None, :]), k=1)
     np.testing.assert_array_equal(adjacency.edges, np.argwhere(upper))
+
+
+# |z| up to 200. There the margin is about 2e4, and both of its forms are
+# off a 50-digit value by up to 6.5e-12 (about 3e-16 relative); the log
+# density sums two terms of that size. So the bounds below are 1e-12
+# absolute up to a value of 1 and relative past it.
+Z_GRID = np.concatenate([np.linspace(0.0, 40.0, 801), np.linspace(40.0, 200.0, 321)])
+A_GRID = np.linspace(A_MIN, A_MAX, 25)
+
+
+def test_margin_matches_the_log_ndtr_margin():
+    z = Z_GRID[:, None, None]
+    w = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.7, 1.0])[None, :, None]
+    a = A_GRID[None, None, :]
+    assert np.isinf(ebayes._slab_ratio(z, a)[0]).any()  # the overflow branch
+    new, ref = np.broadcast_arrays(_log_detection_margin(z, w, a), log_space_margin(z, w, a))
+    np.testing.assert_array_less(np.abs(new - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
+    # The signs agree at every z > 0. At z = 0 the new margin is log w
+    # exactly (T1 = T2), which the reference misses by rounding at w = 1.
+    assert np.all(np.abs(ref[1:]) > 1e-12)
+    np.testing.assert_array_equal(new[1:] > 0.0, ref[1:] > 0.0)
+    np.testing.assert_array_equal(new[0], np.broadcast_to(np.log(w[0]), new[0].shape))
+
+
+def test_weight_floor_and_its_slope_match_the_log_ndtr_forms():
+    for n in (2, 99, 1000, 10**6):
+        np.testing.assert_allclose(
+            weight_lower_bound(n, A_GRID), log_space_weight_floor(n, A_GRID), rtol=1e-13, atol=0.0
+        )
+        np.testing.assert_allclose(
+            _weight_floor_slope(n, A_GRID), log_space_weight_floor_slope(n, A_GRID),
+            rtol=1e-12, atol=1e-15,
+        )
+
+
+def test_density_matches_the_log_ndtr_density():
+    z = Z_GRID[:, None]
+    new, ref = log_laplace_normal_density(z, A_GRID), log_space_density(z, A_GRID)
+    np.testing.assert_array_less(np.abs(new - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))

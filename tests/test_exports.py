@@ -20,7 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEEP = {
     "covariance_matrix": "the README's entry point for raw sample data",
     "cooccurrence_pvalues": "awaits an incidence-input infer path; criterion 09 checks it",
-    "laplace_normal_density": "the slab density criterion 01 checks against quadrature",
 }
 
 

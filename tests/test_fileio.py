@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from assocnet import fileio
-from assocnet.ebayes import MixtureFit
+from assocnet.ebayes import MixtureFit, detection_threshold
 from assocnet.errors import InvalidInputError
 from assocnet.fileio import (
     MATRIX_MAGIC,
@@ -704,19 +704,18 @@ class TestJsonFormats:
     def test_mixture_fit_round_trip(self, tmp_path):
         path = tmp_path / "fit.json"
         fit = MixtureFit(
-            w=np.array([0.1, 0.5]),
+            w=np.array([0.1, 1.0]),
             a=np.array([0.5, 1.25]),
             loglik=np.array([-10.0, -2.5]),
-            threshold=np.array([2.5, 0.75]),
             estimated_a=True,
         )
         write_mixture_fit_json(path, fit, {"threads": 2, "a": None})
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["estimated_a"] is True
-        assert payload["w"] == [0.1, 0.5]
+        assert payload["w"] == [0.1, 1.0]
         assert payload["a"] == [0.5, 1.25]
         assert payload["loglik"] == [-10.0, -2.5]
-        assert payload["threshold"] == [2.5, 0.75]
+        assert payload["threshold"] == [detection_threshold(0.1, 0.5), 0.0]
         assert payload["params"] == {"threads": 2, "a": None}
 
     def test_records_jsonl_round_trip(self, tmp_path):
