@@ -11,11 +11,11 @@ One kernel evaluates the slab: _slab_ratio gives the slab-to-null ratio
 g / phi from two scaled complementary error functions (erfcx), and
 _log_ratio_overflow its log in closed form where the ratio overflows, so
 scores far into the tails (|z| in the hundreds after clamping) stay
-exact. The row fit, the detection threshold, the weight floor and the
-log density all read g / phi, or the slab mass on either side of zero,
-from that pair. Every row is fitted on its own |z| sorted once, so its
-fit depends only on the multiset of its scores, not on their order or
-on the other rows.
+exact. The row fit, the detection threshold, the weight floor, the log
+density and the posterior median all read g / phi, or the slab mass on
+either side of zero, from that pair. Every row is fitted on its own |z|
+sorted once, so its fit depends only on the multiset of its scores, not
+on their order or on the other rows.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ def _log_ratio_overflow(z_abs, a):
 
     T1 = 2 exp((|z| - a)^2 / 2) - erfcx((|z| - a) / sqrt 2) and T2 <= 1, so
     the form is exact in double precision wherever _slab_ratio overflows.
+    Past |z| of about 1.3e154 it is inf, as log(g / phi) then is.
     """
-    return np.log(a * _SQRT_HALF_PI) + 0.5 * np.square(z_abs - a)
+    with np.errstate(over="ignore"):
+        return np.log(a * _SQRT_HALF_PI) + 0.5 * np.square(z_abs - a)
 
 
 def _slab_slope(z_abs, a, ratio, t2):
@@ -167,13 +169,19 @@ def _slab_slope(z_abs, a, ratio, t2):
 
 def log_laplace_normal_density(z, a):
     """Log density of the Laplace(spread a) + standard normal convolution,
-    log phi(z) + log(g / phi) with g / phi from _slab_ratio."""
+    log phi(z) + log(g / phi) with g / phi from _slab_ratio.
+
+    Where g / phi overflows, the sum is log(a/2) + a^2/2 - a|z|: log phi
+    plus _log_ratio_overflow with their z^2 / 2 terms cancelled by hand, so
+    it stays exact for any finite z.
+    """
     a = np.asarray(a, dtype=np.float64)
     z_abs = np.abs(np.asarray(z, dtype=np.float64))
     _check_spread(a)
     ratio = _slab_ratio(z_abs, a)[0]
-    log_ratio = np.where(np.isinf(ratio), _log_ratio_overflow(z_abs, a), np.log(ratio))
-    return _log_norm_pdf(z_abs) + log_ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = _log_norm_pdf(z_abs) + np.log(ratio)
+    return np.where(np.isinf(ratio), np.log(0.5 * a) + 0.5 * a * a - a * z_abs, log_g)
 
 
 def _log_detection_margin(z_abs, w, a):
@@ -227,26 +235,29 @@ def weight_lower_bound(n: int, a) -> float | np.ndarray:
     universal threshold sqrt(2 log n); smaller weights would demand even
     larger scores and flatten the likelihood in w.
     """
-    t = universal_threshold(n)
     a = np.asarray(a, dtype=np.float64)
     _check_spread(a)
-    out = np.exp(-_log_detection_margin(t, 1.0, a))
+    out = _weight_floor(n, a)[0]
     return float(out) if out.ndim == 0 else out
+
+
+def _weight_floor(n: int, a):
+    """The weight floor phi(t) / (U0 - L0 + phi(t)) at t = sqrt(2 log n),
+    with (U0 - L0) / phi(t) and (U0 + L0) / phi(t), U0 and L0 the slab mass
+    above and below zero, all from one _slab_ratio call as in the margin."""
+    total, t2 = _slab_ratio(universal_threshold(n), a)
+    diff = total - a * _SQRT_HALF_PI * t2
+    return 1.0 / (1.0 + diff), diff, total
 
 
 def _weight_floor_slope(n: int, a: np.ndarray) -> np.ndarray:
     """d weight_lower_bound(n, a) / da.
 
-    The bound is phi(t) / (U0 - L0 + phi(t)) at t = sqrt(2 log n), with U0
-    and L0 the slab mass above and below zero; dU0/da - dL0/da is
-    (1/a + a)(U0 - L0) - t (U0 + L0), the phi(t) terms cancelling. U0 + L0
-    and U0 - L0 over phi(t) come from _slab_ratio, as in the margin.
+    dU0/da - dL0/da is (1/a + a)(U0 - L0) - t (U0 + L0), the phi(t) terms
+    cancelling, with U0, L0 and t as in _weight_floor.
     """
-    t = universal_threshold(n)
-    total, t2 = _slab_ratio(t, a)
-    diff = total - a * _SQRT_HALF_PI * t2
-    w_lo = 1.0 / (1.0 + diff)
-    return -w_lo * w_lo * ((1.0 / a + a) * diff - t * total)
+    w_lo, diff, total = _weight_floor(n, a)
+    return -w_lo * w_lo * ((1.0 / a + a) * diff - universal_threshold(n) * total)
 
 
 def detection_threshold(w, a):
@@ -300,11 +311,14 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
     if not _log_detection_margin(z_abs, w, a) > 0.0:
         return PosteriorSummary(z, w, a, 0.0, False)
 
-    l_phi = _log_norm_pdf(z_abs)
-    l_g = log_laplace_normal_density(z_abs, a)
-    with np.errstate(divide="ignore"):
-        l_marginal = np.logaddexp(np.log1p(-w) + l_phi, np.log(w) + l_g)
-    log_z0 = l_marginal - np.log(w * a) - 0.5 * a * a + a * z_abs
+    # z0 = ((1 - w) / w + g / phi) phi(|z| - a) / a, as phi(z) exp(a|z| -
+    # a^2/2) = phi(|z| - a). Where g / phi overflows, its share of z0 is
+    # exactly 1/2: _log_ratio_overflow and log phi(|z| - a) / a cancel.
+    ratio = _slab_ratio(z_abs, a)[0]
+    with np.errstate(over="ignore", divide="ignore"):
+        l_shift = _log_norm_pdf(z_abs - a) - np.log(a)
+        l_slab = np.log(0.5) if np.isinf(ratio) else np.log(ratio) + l_shift
+        log_z0 = np.logaddexp(np.log1p(-w) - np.log(w) + l_shift, l_slab)
     mu = max(0.0, float(z_abs - a + scipy.special.ndtri(-np.expm1(log_z0))))
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
 

@@ -31,6 +31,7 @@ from assocnet.ebayes import (
     detection_threshold,
     infer_adjacency,
     log_laplace_normal_density,
+    posterior_median,
     universal_threshold,
     weight_lower_bound,
 )
@@ -286,9 +287,8 @@ def test_fit_matches_the_log_space_fit(seed, r_gen, estimate_a):
 
 
 # |z| up to 200. There the margin is about 2e4, and both of its forms are
-# off a 50-digit value by up to 6.5e-12 (about 3e-16 relative); the log
-# density sums two terms of that size. So the bounds below are 1e-12
-# absolute up to a value of 1 and relative past it.
+# off a 50-digit value by up to 6.5e-12 (about 3e-16 relative). So the
+# margin's bound is 1e-12 absolute up to a value of 1 and relative past it.
 Z_GRID = np.concatenate([np.linspace(0.0, 40.0, 801), np.linspace(40.0, 200.0, 321)])
 A_GRID = np.linspace(A_MIN, A_MAX, 25)
 
@@ -319,6 +319,19 @@ def test_weight_floor_and_its_slope_match_the_log_ndtr_forms():
 
 
 def test_density_matches_the_log_ndtr_density():
-    z = Z_GRID[:, None]
+    # Past the overflow of g / phi the density is log(a/2) + a^2/2 - a|z|,
+    # exact for any finite z, as the log_ndtr form is.
+    z = np.concatenate([Z_GRID, [1e8, 1e200]])[:, None]
     new, ref = log_laplace_normal_density(z, A_GRID), log_space_density(z, A_GRID)
-    np.testing.assert_array_less(np.abs(new - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
+    np.testing.assert_array_less(np.abs(new - ref), 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("z", [1e8, -1e8, 1e200, -1e200])
+def test_median_of_a_far_score_is_the_score_less_the_spread(z):
+    # There the slab's share of z0 is 1/2 up to exp(-huge), so the median
+    # is |z| - a with the sign of z, to rounding.
+    for w in (1e-12, 0.3, 1.0):
+        for a in A_GRID:
+            summary = posterior_median(z, w, a)
+            assert summary.nonzero
+            assert summary.median == np.copysign(abs(z) - a, z), (z, w, a)
