@@ -222,9 +222,11 @@ def cooccurrence_pvalues(incidence: np.ndarray) -> SymmetricMatrix:
     entity j is associated with. For entities with item sets of sizes k_i
     and k_j overlapping in o items out of n, the entry is the probability
     that a uniformly random k_j-subset hits at least o of the k_i items.
-    The tail is summed exactly from log-factorial tables. Diagonal is 1.
+    The tail depends only on (min(k_i, k_j), max(k_i, k_j), o), so
+    scipy.stats.hypergeom.sf runs once per distinct triple. Diagonal is 1.
 
-    Requires every column to contain at least one 1.
+    Requires every column to contain at least one 1 and fewer than 2**21
+    items, so that each triple packs into one exact int64 key.
     """
     inc = np.asarray(incidence)
     if inc.ndim != 2:
@@ -234,30 +236,23 @@ def cooccurrence_pvalues(incidence: np.ndarray) -> SymmetricMatrix:
     n_items, m = inc.shape
     if n_items < 1 or m < 2:
         raise InvalidInputError("incidence needs at least one item and two entities")
-    inc = inc.astype(np.int64)
-    sizes = inc.sum(axis=0)
+    if n_items >= 2**21:  # the largest key, (n_items + 1)**3 - 1, must fit in int64
+        raise InvalidInputError(f"incidence has {n_items} items; at most {2**21 - 1} are allowed")
+    inc = inc.astype(np.float64)
+    sizes = inc.sum(axis=0).astype(np.int64)
     if np.any(sizes == 0):
         bad = int(np.argmax(sizes == 0))
         raise InvalidInputError(f"entity {bad} has an empty item set")
 
-    overlap = inc.T @ inc
-    logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_items + 1)))])
-
-    def log_comb(n: int, k: np.ndarray) -> np.ndarray:
-        return logfact[n] - logfact[k] - logfact[n - k]
-
-    pmat = np.ones((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ki, kj = int(sizes[i]), int(sizes[j])
-            # The overlap is at most min(ki, kj), so the tail has a term.
-            ks = np.arange(int(overlap[i, j]), min(ki, kj) + 1)
-            log_terms = (
-                log_comb(ki, ks)
-                + (logfact[n_items - ki] - logfact[kj - ks] - logfact[n_items - ki - kj + ks])
-                - log_comb(n_items, np.array([kj]))
-            )
-            peak = log_terms.max()
-            pmat[i, j] = min(float(np.exp(peak) * np.exp(log_terms - peak).sum()), 1.0)
-    mirror_upper_in_place(pmat)
+    # Each pair's (small size, large size, overlap) in base n_items + 1, the
+    # same for (i, j) and (j, i): float64 BLAS counts are exact below 2**53.
+    base = n_items + 1
+    key = np.minimum.outer(sizes, sizes) * base + np.maximum.outer(sizes, sizes)
+    key *= base
+    key += (inc.T @ inc).astype(np.int64)
+    keys, inverse = np.unique(key.ravel(), return_inverse=True)
+    small_large, overlap = np.divmod(keys, base)
+    small, large = np.divmod(small_large, base)
+    pmat = scipy.stats.hypergeom.sf(overlap - 1, n_items, small, large)[inverse].reshape(m, m)
+    np.fill_diagonal(pmat, 1.0)
     return SymmetricMatrix(pmat, "pvalue")

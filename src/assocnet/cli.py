@@ -99,12 +99,16 @@ def _load_json(path) -> dict:
 
 
 def cmd_infer(args, clock: _StageClock):
+    # Every setting is checked before the input is read.
+    if args.threads < 1:
+        raise ParameterError("--threads must be at least 1")
     if args.kind == "pvalue":
         if args.nu is not None:
             raise ParameterError("--nu does not apply to p-value input")
-    else:
-        if args.nu is None:
-            raise ParameterError(f"--nu is required for {args.kind} input")
+    elif args.nu is None:
+        raise ParameterError(f"--nu is required for {args.kind} input")
+    elif not np.isfinite(args.nu) or args.nu <= 3:
+        raise ParameterError("--nu must be a finite number greater than 3")
     values, _ = read_matrix_auto(args.input)
     matrix = SymmetricMatrix(values, args.kind)
     clock.lap("read")

@@ -1,9 +1,12 @@
 """Tests for association-score construction."""
 
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -60,14 +63,19 @@ def invert_phi_upper(tail):
 
 
 def hypergeom_upper_tail(n, k1, k2, overlap):
-    """Exact upper-tail overlap probability via integer combinatorics."""
-    from fractions import Fraction
-    from math import comb
-
+    """Exact upper-tail overlap probability via integer combinatorics, as a Fraction."""
     total = Fraction(0)
     for j in range(overlap, min(k1, k2) + 1):
         total += Fraction(comb(k1, j) * comb(n - k1, k2 - j), comb(n, k2))
-    return float(total)
+    return total
+
+
+def two_set_incidence(n, k1, k2, overlap):
+    """Incidence of two entities with k1 and k2 of n items, sharing overlap of them."""
+    incidence = np.zeros((n, 2), dtype=int)
+    incidence[:k1, 0] = 1
+    incidence[k1 - overlap : k1 - overlap + k2, 1] = 1
+    return incidence
 
 
 class TestCovariance:
@@ -258,11 +266,8 @@ class TestCooccurrence:
         assert pvals.values[0, 1] == pytest.approx(0.003968253968253968, abs=1e-15)
 
     def test_universe4_pair_matches_enumeration(self):
-        incidence = np.zeros((4, 2), dtype=int)
-        incidence[:2, 0] = 1
-        incidence[:2, 1] = 1
-        pvals = cooccurrence_pvalues(incidence)
-        expected = hypergeom_upper_tail(4, 2, 2, 2)
+        pvals = cooccurrence_pvalues(two_set_incidence(4, 2, 2, 2))
+        expected = float(hypergeom_upper_tail(4, 2, 2, 2))
         assert pvals.values[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_grid_against_enumeration(self):
@@ -274,12 +279,53 @@ class TestCooccurrence:
             (11, 6, 6, 2),
             (12, 7, 3, 0),
         ]:
-            incidence = np.zeros((n, 2), dtype=int)
-            incidence[:k1, 0] = 1
-            incidence[k1 - overlap : k1 - overlap + k2, 1] = 1
-            pvals = cooccurrence_pvalues(incidence)
-            expected = hypergeom_upper_tail(n, k1, k2, overlap)
+            pvals = cooccurrence_pvalues(two_set_incidence(n, k1, k2, overlap))
+            expected = float(hypergeom_upper_tail(n, k1, k2, overlap))
             assert pvals.values[0, 1] == pytest.approx(expected, abs=1e-12)
+
+    def test_relative_error_against_exact_fractions(self):
+        """Seeded tables with up to 400 items, then two deep tails
+        (p near 1.7e-42 and 4.4e-121), each within 1e-13 relative."""
+        rng = np.random.default_rng(30)
+        tables = [(1000, 100, 100, 60), (5000, 50, 50, 50)]
+        for _ in range(300):
+            n = int(rng.integers(1, 401))
+            k1, k2 = (int(k) for k in rng.integers(1, n + 1, size=2))
+            tables.append((n, k1, k2, int(rng.integers(max(0, k1 + k2 - n), min(k1, k2) + 1))))
+        for table in tables:
+            got = cooccurrence_pvalues(two_set_incidence(*table)).values[0, 1]
+            exact = hypergeom_upper_tail(*table)
+            rel = float(abs(Fraction(got) - exact) / exact)
+            assert rel <= 1e-13, (table, rel)
+
+    def test_one_tail_per_distinct_triple(self, monkeypatch):
+        """The library tail runs once, on each distinct (min k, max k, o)
+        of all (i, j), the diagonal's self-overlaps included, and no more."""
+        rng = np.random.default_rng(0)
+        incidence = (rng.random((200, 600)) < 0.1).astype(np.int64)
+        incidence[0] = 1  # no entity with an empty item set
+        calls = []
+        library_sf = scipy.stats.hypergeom.sf
+
+        def spy(k, M, n, N):
+            calls.append((np.asarray(k) + 1, M, np.asarray(n), np.asarray(N)))
+            return library_sf(k, M, n, N)
+
+        monkeypatch.setattr(scipy.stats.hypergeom, "sf", spy)
+        pvals = cooccurrence_pvalues(incidence)
+        sizes = incidence.sum(axis=0)
+        overlap = incidence.T @ incidence
+        expected = set(zip(np.minimum.outer(sizes, sizes).ravel().tolist(),
+                           np.maximum.outer(sizes, sizes).ravel().tolist(),
+                           overlap.ravel().tolist()))
+        [(o, n_items, small, large)] = calls
+        assert n_items == 200
+        evaluated = list(zip(small.tolist(), large.tolist(), o.tolist()))
+        assert len(evaluated) == len(expected) and set(evaluated) == expected
+        for i, j in [(0, 1), (3, 17), (17, 3), (598, 599)]:
+            table = (200, int(sizes[i]), int(sizes[j]), int(overlap[i, j]))
+            tail = float(hypergeom_upper_tail(*table))
+            assert pvals.values[i, j] == pytest.approx(tail, rel=1e-13)
 
     def test_diagonal_is_one(self):
         incidence = np.ones((3, 3), dtype=int)
@@ -299,6 +345,21 @@ class TestCooccurrence:
         incidence[0, 0] = 1
         with pytest.raises(InvalidInputError):
             cooccurrence_pvalues(incidence)
+
+    def test_string_entry_rejected(self):
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            cooccurrence_pvalues(np.array([["1", "0"], ["0", "1"]]))
+
+    def test_item_count_is_bounded_by_the_exact_key(self):
+        """Up to 2**21 - 1 items each (small, large, overlap) packs into an
+        exact int64 key; one more item is refused, not rounded."""
+        incidence = np.zeros((2**21, 2), dtype=np.int8)
+        incidence[:, 0] = 1
+        incidence[-2:, 1] = 1
+        with pytest.raises(InvalidInputError, match="at most 2097151"):
+            cooccurrence_pvalues(incidence)
+        pvals = cooccurrence_pvalues(incidence[1:])
+        assert pvals.values[0, 1] == 1.0
 
 
 class TestTypes:

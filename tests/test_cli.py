@@ -261,6 +261,23 @@ class TestInfer:
         assert "error:" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [(["--nu", "50", "--threads", "0"], "--threads must be at least 1"),
+         (["--nu", "2"], "--nu must be a finite number greater than 3"),
+         (["--nu", "nan"], "--nu must be a finite number greater than 3")],
+        ids=["threads-0", "nu-2", "nu-nan"],
+    )
+    def test_bad_setting_is_a_usage_error_before_the_input_is_read(
+        self, tmp_path, capsys, setting, message
+    ):
+        out = tmp_path / "out"
+        code = main(["infer", str(tmp_path / "nope.csv"), "--kind", "correlation", *setting,
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blank_matrix_file_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
         path.write_text("\n  \n\n", encoding="utf-8")

@@ -26,7 +26,8 @@ from assocnet.fileio import (
 from assocnet.simgen import SimConfig, generate_correlations, generate_ground_truth
 
 SRC = Path(assocnet.__file__).resolve().parents[1]
-PARTS = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize")
+PARTS = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize",
+         "scipy.stats")
 
 # Imports the package, then runs cli.main on each argv of argv[1] in turn.
 # Prints [exit code, SciPy parts loaded] after the import and after each run.
