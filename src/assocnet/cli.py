@@ -46,7 +46,6 @@ from .fileio import (
     write_records_jsonl,
     write_summary_csv,
 )
-from .graphs import SparseAdjacency
 from .metrics import edge_confusion, edge_density, nmi
 from .simgen import (
     SimConfig,
@@ -109,7 +108,7 @@ def cmd_infer(args, clock: _StageClock):
         raise ParameterError(f"--nu is required for {args.kind} input")
     elif not np.isfinite(args.nu) or args.nu <= 3:
         raise ParameterError("--nu must be a finite number greater than 3")
-    values, _ = read_matrix_auto(args.input)
+    values = read_matrix_auto(args.input)
     matrix = SymmetricMatrix(values, args.kind)
     clock.lap("read")
     if args.kind == "covariance":
@@ -140,10 +139,11 @@ def cmd_infer(args, clock: _StageClock):
 
 
 def cmd_communities(args, clock: _StageClock):
-    # Built with a placeholder K so that every setting is checked before
-    # the input is read or any eigensolve runs.
+    # Built before the input is read, with K = 1 standing in for --auto-k,
+    # so that every setting is checked before the read or any eigensolve.
+    # K <= m needs the input, so select_num_communities checks it.
     config = SpectralConfig(
-        K=1,
+        K=1 if args.auto_k else args.K,
         tau=_parse_tau(args.tau),
         restarts=args.restarts,
         seed=args.seed,
@@ -167,6 +167,8 @@ def cmd_communities(args, clock: _StageClock):
 
 
 def cmd_simulate(args, clock: _StageClock):
+    if args.seed is not None and args.seed < 0:
+        raise ParameterError("--seed must be nonnegative")
     config = SimConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -187,6 +189,10 @@ def cmd_simulate(args, clock: _StageClock):
 
 
 def cmd_study(args, clock: _StageClock):
+    if args.repetitions < 1:
+        raise ParameterError("--repetitions must be at least 1")
+    if args.seed < 0:
+        raise ParameterError("--seed must be nonnegative")
     grid = _load_json(args.grid)
     configs = expand_grid(grid)
     records, summary = run_study(

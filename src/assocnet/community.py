@@ -97,25 +97,18 @@ def eigsh(lap, k, **kwargs):
     return scipy.sparse.linalg.eigsh(lap, k=k, **kwargs)
 
 
-def _leading_eigenpairs(lap, k: int, method: str = "auto"):
+def _leading_eigenpairs(lap, k: int):
     """Top-k eigenpairs of a symmetric matrix by absolute eigenvalue.
 
-    method "auto" picks a dense decomposition for small or near-full
-    problems and a Lanczos-style iterative solver otherwise; "dense" or
-    "sparse" forces the path. Eigenpairs come back sorted by decreasing
-    |eigenvalue| with a stable order on ties.
+    A dense decomposition serves small (m <= DENSE_CUTOFF) or near-full
+    (k >= m - 1) problems and a Lanczos-style iterative solver the rest.
+    Eigenpairs come back sorted by decreasing |eigenvalue| with a stable
+    order on ties.
     """
     m = lap.shape[0]
     if not 1 <= k <= m:
         raise ParameterError("need 1 <= k <= m eigenpairs")
-    if method == "auto":
-        use_dense = m <= DENSE_CUTOFF or k >= m - 1
-    elif method in ("dense", "sparse"):
-        use_dense = method == "dense"
-    else:
-        raise ParameterError('method must be "auto", "dense", or "sparse"')
-
-    if use_dense:
+    if m <= DENSE_CUTOFF or k >= m - 1:
         dense = lap.toarray() if scipy.sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
         vals, vecs = np.linalg.eigh(dense)
     else:

@@ -276,18 +276,23 @@ def detection_threshold(w, a):
         raise ParameterError("weight must lie in (0, 1]")
     _check_spread(a)
 
-    def margin(t):
-        return _log_detection_margin(t, w, a)
-
     hi = np.full(w.shape, 2.0)
     while True:
-        short = margin(hi) <= 0.0
+        short = _log_detection_margin(hi, w, a) <= 0.0
         if not short.any():
             break
         hi = np.where(short, 2.0 * hi, hi)
         if np.any(hi > 1e6):
             raise ParameterError("detection threshold out of range")
-    t = np.where(w == 1.0, 0.0, _bisect(margin, np.zeros(w.shape), hi))
+    # The margin is log w <= 0 at 0 and positive at hi, so the bracket
+    # [lo, hi] keeps margin(lo) <= 0 < margin(hi) as it halves.
+    lo = np.zeros(w.shape)
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        up = _log_detection_margin(mid, w, a) <= 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    t = np.where(w == 1.0, 0.0, lo)
     return float(t) if t.ndim == 0 else t
 
 
@@ -321,26 +326,6 @@ def posterior_median(z: float, w: float, a: float) -> PosteriorSummary:
         log_z0 = np.logaddexp(np.log1p(-w) - np.log(w) + l_shift, l_slab)
     mu = max(0.0, float(z_abs - a + scipy.special.ndtri(-np.expm1(log_z0))))
     return PosteriorSummary(z, w, a, float(np.copysign(mu, z)), True)
-
-
-def _bisect(f, lo, hi):
-    """Per-row sign change of an increasing f over brackets [lo, hi].
-
-    Returns lo exactly where f(lo) > 0 and hi exactly where f(hi) <= 0.
-    Elsewhere it halves the bracket a fixed number of times, keeping
-    f(lo) <= 0 < f(hi), and returns the last lo.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    below = f(lo) > 0.0
-    above = ~below & (f(hi) <= 0.0)
-    left, right = lo, hi
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (left + right)
-        up = f(mid) <= 0.0
-        left = np.where(up, mid, left)
-        right = np.where(up, right, mid)
-    return np.where(below, lo, np.where(above, hi, left))
 
 
 def _score_root(inv_beta: np.ndarray, lo: np.ndarray) -> np.ndarray:

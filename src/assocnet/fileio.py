@@ -1,13 +1,13 @@
 """File formats for matrices, graphs, partitions, and study reports.
 
-Dense matrices travel as CSV (optional header row of variable names)
-or as a binary format: 8-byte magic, int64 row and column counts, then
-column-major float64 data. Graphs are TSV edge lists with 1-based ids
-and a "# m=" comment carrying the node count; partitions are TSV
-(node-id, community-id) with a "# K=" comment. All text output is
-UTF-8 with LF line endings, and numeric formatting round-trips float64
-exactly. Text input is read as UTF-8; a leading byte-order mark is
-skipped.
+Dense matrices travel as CSV (an optional header row of variable
+names is skipped) or as a binary format: 8-byte magic, int64 row and
+column counts, then column-major float64 data. Graphs are TSV edge
+lists with 1-based ids and a "# m=" comment carrying the node count;
+partitions are TSV (node-id, community-id) with a "# K=" comment. All
+text output is UTF-8 with LF line endings, and numeric formatting
+round-trips float64 exactly. Text input is read as UTF-8; a leading
+byte-order mark is skipped.
 
 Every text reader goes through _read_text, which skips blank lines and
 full-line "#" comments and parses the other lines with one np.loadtxt
@@ -51,25 +51,21 @@ def _open_read(path):
     return open(path, "r", encoding="utf-8-sig")
 
 
-def write_matrix_csv(path, values: np.ndarray, names: list[str] | None = None) -> None:
+def write_matrix_csv(path, values: np.ndarray) -> None:
     """Write a dense matrix as CSV with full float64 precision."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise InvalidInputError("matrix must be 2-D")
     with _open_write(path) as fh:
-        if names is not None:
-            if len(names) != values.shape[1]:
-                raise InvalidInputError("one name per column required")
-            fh.write(",".join(names) + "\n")
-        for row in values:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
 
 
-def read_matrix_csv(path):
-    """Read a CSV matrix; returns (values, names_or_None).
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a CSV matrix.
 
     Lines are read by _read_text; the first data line is a header exactly
-    when any of its fields does not parse as a float.
+    when any of its fields does not parse as a float. A header is skipped,
+    once its width is checked against the data.
     """
     _, names, values = _read_text(
         path, np.float64, ",", None, lambda exc, ragged: f"malformed matrix CSV ({exc})",
@@ -80,7 +76,7 @@ def read_matrix_csv(path):
         raise InvalidInputError(f"{path}: empty matrix {what}")
     if names is not None and values.shape[1] != len(names):
         raise InvalidInputError(f"{path}: header and data widths differ")
-    return values, names
+    return values
 
 
 def write_matrix_bin(path, values: np.ndarray) -> None:
@@ -121,11 +117,11 @@ def read_matrix_bin(path):
 
 
 def read_matrix_auto(path):
-    """Dispatch on the magic bytes: binary format or CSV. Returns (values, names)."""
+    """Dispatch on the magic bytes: binary format or CSV."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == MATRIX_MAGIC:
-        return read_matrix_bin(path), None
+        return read_matrix_bin(path)
     return read_matrix_csv(path)
 
 

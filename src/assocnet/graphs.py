@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .assoc import is_symmetric
 from .errors import InvalidInputError
 
 
@@ -76,31 +75,9 @@ class SparseAdjacency:
         if e.size and (e[:, 0].min() < 0 or e[:, 1].max() >= self.m):
             raise InvalidInputError("edge endpoint out of range")
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseAdjacency":
-        dense = np.asarray(dense)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise InvalidInputError("adjacency matrix must be square")
-        if not is_symmetric(dense):
-            raise InvalidInputError("adjacency matrix must be symmetric")
-        if np.any(np.diag(dense) != 0):
-            raise InvalidInputError("adjacency diagonal must be zero")
-        ii, jj = np.nonzero(np.triu(dense, k=1))
-        return cls(dense.shape[0], np.column_stack([ii, jj]))
-
     @property
     def edge_count(self) -> int:
         return int(self.edges.shape[0])
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.m)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m), dtype=np.int8)
-        if self.edges.size:
-            out[self.edges[:, 0], self.edges[:, 1]] = 1
-            out[self.edges[:, 1], self.edges[:, 0]] = 1
-        return out
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
         """Symmetric float64 CSR matrix, built from the upper triangle.

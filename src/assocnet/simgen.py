@@ -538,8 +538,9 @@ def run_study(
     """Repeat run_single over a grid; returns (records, summary_rows).
 
     Each (grid point, repetition) gets its own derived seed. A failing
-    run contributes an error record instead of aborting the study. The
-    summary holds per-point, per-method quartiles of each metric.
+    run contributes an error record for each method it would have run
+    instead of aborting the study. The summary holds per-point,
+    per-method quartiles of each metric.
     """
     if repetitions < 1:
         raise ParameterError("repetitions must be at least 1")
@@ -555,13 +556,9 @@ def run_study(
                 for rec in run_single(run_config, estimate_a, baseline):
                     records.append({**meta, **rec})
             except Exception as exc:  # fault isolation across runs
-                records.append(
-                    {
-                        **meta,
-                        "method": "threshold-spectral",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+                error = f"{type(exc).__name__}: {exc}"
+                methods = ["threshold-spectral", "spectral-direct"][: 2 if baseline else 1]
+                records.extend({**meta, "method": method, "error": error} for method in methods)
     summary = summarize_records(records)
     return records, summary
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from conftest import from_dense
+
 from assocnet import assoc
 from assocnet.assoc import (
     AssocMatrix,
@@ -30,7 +32,6 @@ from assocnet.errors import (
     InvalidInputError,
     ParameterError,
 )
-from assocnet.graphs import SparseAdjacency
 from assocnet.simgen import generate_correlations
 
 
@@ -553,7 +554,7 @@ class TestEveryBuilderIsSymmetric:
         incidence = (rng.random((40, m)) < 0.2).astype(np.int8)
         incidence[0] = 1  # no entity with an empty item set
         dense = np.triu(rng.random((m, m)) < 0.1, 1)
-        adj = SparseAdjacency.from_dense((dense | dense.T).astype(np.int8))
+        adj = from_dense((dense | dense.T).astype(np.int8))
         for x in (
             cov.values,
             corr.values,

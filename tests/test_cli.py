@@ -18,6 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.sparse.linalg import eigsh as scipy_eigsh
 from scipy.special import ndtr
 
+from conftest import from_dense, to_dense
+
 from assocnet import __version__, cli, community, ebayes
 from assocnet.assoc import SymmetricMatrix, fisher_z, pvalues_to_z
 from assocnet.cli import main
@@ -67,7 +69,7 @@ def two_cliques(m_half: int):
     dense[m_half:, m_half:] = 1
     np.fill_diagonal(dense, 0)
     labels = np.repeat([1, 2], m_half)
-    return SparseAdjacency.from_dense(dense), Partition(labels, 2)
+    return from_dense(dense), Partition(labels, 2)
 
 
 def read_json(path):
@@ -111,7 +113,7 @@ class TestInfer:
             fisher_z(SymmetricMatrix(corr_values, "correlation"), 100)
         )
         got = read_edges_tsv(out / "edges.tsv")
-        assert np.array_equal(got.to_dense(), expected_adj.to_dense())
+        assert np.array_equal(to_dense(got), to_dense(expected_adj))
         fit = read_json(out / "mixture_fit.json")
         assert fit["estimated_a"] is False
         assert fit["w"] == [float(x) for x in expected_fit.w]
@@ -208,11 +210,11 @@ class TestInfer:
             pvalues_to_z(SymmetricMatrix(pvals, "pvalue"))
         )
         got = read_edges_tsv(out / "edges.tsv")
-        assert np.array_equal(got.to_dense(), expected_adj.to_dense())
+        assert np.array_equal(to_dense(got), to_dense(expected_adj))
         direct, _ = infer_adjacency(
             fisher_z(SymmetricMatrix(corr_values, "correlation"), 100)
         )
-        assert np.array_equal(got.to_dense(), direct.to_dense())
+        assert np.array_equal(to_dense(got), to_dense(direct))
 
     def test_covariance_input_gives_the_same_network(self, tmp_path, corr_values):
         # scaling to an arbitrary covariance must not change the result
@@ -238,7 +240,7 @@ class TestInfer:
             fisher_z(SymmetricMatrix(corr_values, "correlation"), 100)
         )
         got = read_edges_tsv(out / "edges.tsv")
-        assert np.array_equal(got.to_dense(), direct.to_dense())
+        assert np.array_equal(to_dense(got), to_dense(direct))
 
     def test_nu_with_pvalues_is_a_usage_error(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -327,7 +329,7 @@ class TestInfer:
 
         def read_and_watch(*args):
             result = read(*args)
-            arrays.append(weakref.ref(result[0]))
+            arrays.append(weakref.ref(result))
             return result
 
         def to_correlation_and_watch(*args):
@@ -373,7 +375,7 @@ class TestCommunities:
         dense = np.triu(dense, 1)
         dense = dense + dense.T
         edges = tmp_path / "edges.tsv"
-        write_edges_tsv(edges, SparseAdjacency.from_dense(dense))
+        write_edges_tsv(edges, from_dense(dense))
         out = tmp_path / "out"
         code = main(["communities", str(edges), "--auto-k", "--output-dir", str(out)])
         assert code == 0
@@ -389,7 +391,7 @@ class TestCommunities:
         prob = np.where(labels[:, None] == labels[None, :], 0.9, 0.005)
         dense = np.triu((rng.random((600, 600)) < prob).astype(np.int64), 1)
         edges = tmp_path / "edges.tsv"
-        write_edges_tsv(edges, SparseAdjacency.from_dense(dense + dense.T))
+        write_edges_tsv(edges, from_dense(dense + dense.T))
         asked = []
 
         def eigsh(lap, k, **kwargs):
@@ -506,9 +508,9 @@ class TestSimulate:
             truth.adjacency, config.r_gen, config.nu, config.seed
         )
         got_adj = read_edges_tsv(out / "truth_edges.tsv")
-        assert np.array_equal(got_adj.to_dense(), truth.adjacency.to_dense())
+        assert np.array_equal(to_dense(got_adj), to_dense(truth.adjacency))
         assert read_partition_tsv(out / "planted_partition.tsv") == truth.partition
-        values, _ = read_matrix_csv(out / "correlations.csv")
+        values = read_matrix_csv(out / "correlations.csv")
         assert np.array_equal(values, corr.values)
 
     def test_config_with_a_byte_order_mark(self, tmp_path):
@@ -532,7 +534,7 @@ class TestSimulate:
         assert manifest["seed"] == 9
         truth = generate_ground_truth(SimConfig(**{**SIM, "seed": 9}))
         got = read_edges_tsv(out / "truth_edges.tsv")
-        assert np.array_equal(got.to_dense(), truth.adjacency.to_dense())
+        assert np.array_equal(to_dense(got), to_dense(truth.adjacency))
 
     def test_binary_format_holds_the_same_matrix(self, tmp_path):
         config_path = self.write_config(tmp_path)
@@ -541,7 +543,7 @@ class TestSimulate:
                      "--output-dir", str(out_csv)]) == 0
         assert main(["simulate", "--config", str(config_path), "--format", "bin",
                      "--output-dir", str(out_bin)]) == 0
-        csv_values, _ = read_matrix_csv(out_csv / "correlations.csv")
+        csv_values = read_matrix_csv(out_csv / "correlations.csv")
         bin_values = read_matrix_bin(out_bin / "correlations.bin")
         assert np.array_equal(csv_values, bin_values)
 
@@ -792,6 +794,25 @@ class TestTopLevel:
             assert main(argv + ["--seed", "-1", "--output-dir", str(out)]) == 2
         assert solves == []
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["communities", "nope.tsv", "-K", "0"], "K must be at least 1"),
+         (["study", "--grid", "nope.json", "--repetitions", "0"],
+          "--repetitions must be at least 1"),
+         (["study", "--grid", "nope.json", "--repetitions", "1", "--seed", "-1"],
+          "--seed must be nonnegative"),
+         (["simulate", "--config", "nope.json", "--seed", "-1"], "--seed must be nonnegative")],
+        ids=["communities-K-0", "study-repetitions-0", "study-seed-negative",
+             "simulate-seed-negative"],
+    )
+    def test_bad_setting_is_a_usage_error_before_the_input_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)  # the named input files do not exist there
+        assert main([*argv, "--output-dir", "out"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:

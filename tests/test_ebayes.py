@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, quad
 from scipy.optimize import brentq
 
+from conftest import to_dense
+
 from assocnet import ebayes
 from assocnet.assoc import AssocMatrix, fisher_z
 from assocnet.ebayes import (
@@ -281,6 +283,38 @@ class TestMarginalLoglik:
 # ------------------------------------------------- thresholds and bounds
 
 
+def bisect(f, lo, hi):
+    """Per-row sign change of an increasing f over brackets [lo, hi].
+
+    Returns lo exactly where f(lo) > 0 and hi exactly where f(hi) <= 0.
+    Elsewhere it halves the bracket _HALVINGS times, keeping
+    f(lo) <= 0 < f(hi), and returns the last lo.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    below = f(lo) > 0.0
+    above = ~below & (f(hi) <= 0.0)
+    left, right = lo, hi
+    for _ in range(ebayes._HALVINGS):
+        mid = 0.5 * (left + right)
+        up = f(mid) <= 0.0
+        left = np.where(up, mid, left)
+        right = np.where(up, right, mid)
+    return np.where(below, lo, np.where(above, hi, left))
+
+
+def bisect_threshold(w, a):
+    """detection_threshold by bisect over [0, hi], hi doubled from 2 as there."""
+
+    def margin(t):
+        return ebayes._log_detection_margin(t, w, a)
+
+    hi = np.full(w.shape, 2.0)
+    while np.any(margin(hi) <= 0.0):
+        hi = np.where(margin(hi) <= 0.0, 2.0 * hi, hi)
+    return np.where(w == 1.0, 0.0, bisect(margin, np.zeros(w.shape), hi))
+
+
 class TestThresholds:
     def test_universal_threshold_values(self):
         assert universal_threshold(1) == 0.0
@@ -331,6 +365,19 @@ class TestThresholds:
             scalar = detection_threshold(float(w_i), float(a_i))
             assert isinstance(scalar, float)
             assert scalar == t_i
+
+    def test_bit_identical_to_bisection_with_end_point_checks(self):
+        # 10^5 seeded (w, a), plus w = 1 and the weight floors of rows of
+        # 1999 and 9 scores, at spreads across [A_MIN, A_MAX].
+        rng = np.random.default_rng(31)
+        a = rng.uniform(A_MIN, A_MAX, 100_000)
+        w = np.exp(rng.uniform(np.log(1e-6), 0.0, a.size))
+        w[::50] = 1.0
+        w[1::50] = weight_lower_bound(1999, a[1::50])
+        w[2::50] = weight_lower_bound(9, a[2::50])
+        t = detection_threshold(w, a)
+        assert t.tobytes() == bisect_threshold(w, a).tobytes()
+        assert np.all(t[::50] == 0.0) and np.all(t[1::50] > 0.0)
 
     def test_broadcasts_weight_against_spread(self):
         w = np.array([0.1, 0.5, 1.0])
@@ -590,9 +637,7 @@ def inv_beta(z, a):
 
 def bisect_score_root(c, lo):
     """The weight by plain bisection on the same score sum(1 / (w + c))."""
-    return ebayes._bisect(
-        lambda w: -np.sum(1.0 / (c + w[:, None]), axis=1), lo, np.ones(c.shape[0])
-    )
+    return bisect(lambda w: -np.sum(1.0 / (c + w[:, None]), axis=1), lo, np.ones(c.shape[0]))
 
 
 def score_root_capped(monkeypatch, c, lo, cap):
@@ -915,7 +960,7 @@ class TestInferAdjacency:
         for _ in range(5):
             assoc = _random_assoc(rng, 25)
             adj, fit = infer_adjacency(assoc)
-            dense = adj.to_dense()
+            dense = to_dense(adj)
             assert np.array_equal(dense, dense.T)
             assert not np.diag(dense).any()
             assert fit.w.shape == (25,)
@@ -924,7 +969,7 @@ class TestInferAdjacency:
         rng = np.random.default_rng(20)
         assoc = _random_assoc(rng, 40, scale=3.0)
         adj, fit = infer_adjacency(assoc)
-        dense = adj.to_dense().astype(bool)
+        dense = to_dense(adj).astype(bool)
         for i in range(40):
             row_keep = np.abs(assoc.z[i]) > detection_threshold(fit.w[i], fit.a[i])
             assert not np.any(dense[i] & ~row_keep)
@@ -949,7 +994,7 @@ class TestInferAdjacency:
         adj, fit = infer_adjacency(assoc)
         assert abs(z[0, 29]) > detection_threshold(fit.w[0], fit.a[0])
         assert abs(z[29, 0]) <= detection_threshold(fit.w[29], fit.a[29])
-        dense = adj.to_dense()
+        dense = to_dense(adj)
         assert dense[0, 29] == 0
         assert adj.edge_count == 15 * 14 // 2
 

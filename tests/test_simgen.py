@@ -31,8 +31,10 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import expit
 
+from conftest import from_dense, to_dense
+
 from assocnet import simgen
-from assocnet.errors import InvalidInputError, ParameterError
+from assocnet.errors import ConvergenceError, InvalidInputError, ParameterError
 from assocnet.graphs import Partition, SparseAdjacency
 from assocnet.metrics import edge_density
 from assocnet.simgen import (
@@ -79,7 +81,7 @@ def bounded_pareto_cdf(x, low: float, high: float, exponent: float):
 def complete_graph(m: int) -> SparseAdjacency:
     dense = np.zeros((m, m), dtype=np.int8)
     dense[np.triu_indices(m, 1)] = 1
-    return SparseAdjacency.from_dense(dense + dense.T)
+    return from_dense(dense + dense.T)
 
 
 _QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(240)
@@ -214,8 +216,8 @@ class TestGenerateNetwork:
         a0 = generate_network(alpha, background, 1.5, 1.5, 0)
         a1 = generate_network(alpha, background, 1.5, 1.5, 1)
         again = generate_network(alpha, background, 1.5, 1.5, 0)
-        assert np.array_equal(a0.to_dense(), again.to_dense())
-        assert not np.array_equal(a0.to_dense(), a1.to_dense())
+        assert np.array_equal(to_dense(a0), to_dense(again))
+        assert not np.array_equal(to_dense(a0), to_dense(a1))
 
     def test_saturated_propensities_give_complete_graph(self):
         m = 50
@@ -235,7 +237,7 @@ class TestGenerateNetwork:
         plants.append(Partition(np.zeros(80, dtype=np.int64), 1))
         assert not np.array_equal(plants[0].labels, plants[1].labels)
         drawn = [
-            generate_network(alpha, part, -2.0, -2.0, 77).to_dense()
+            to_dense(generate_network(alpha, part, -2.0, -2.0, 77))
             for part in plants
         ]
         assert np.array_equal(drawn[0], drawn[1])
@@ -401,7 +403,7 @@ class TestGenerateCorrelations:
         # with r_gen = 1 every edge correlation is exactly 1 and no other is
         rng = np.random.default_rng(12)
         dense = np.triu((rng.random((80, 80)) < 0.1).astype(np.int8), 1)
-        adj = SparseAdjacency.from_dense(dense + dense.T)
+        adj = from_dense(dense + dense.T)
         values = generate_correlations(adj, 1.0, 20, 6).values
         np.testing.assert_array_equal(values == 1.0, (dense + dense.T) == 1)
 
@@ -599,6 +601,26 @@ class TestRunStudy:
         assert len(records) == 3
         assert summary[0]["runs"] == 2
         assert summary[0]["failures"] == 1
+
+    def test_a_failing_run_counts_against_every_method(self, monkeypatch):
+        real = simgen.infer_adjacency
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ConvergenceError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "infer_adjacency", flaky)
+        records, summary = run_study([small_config()], repetitions=3, seed=5, baseline=True)
+        errors = [r for r in records if "error" in r]
+        assert sorted(r["method"] for r in errors) == ["spectral-direct", "threshold-spectral"]
+        assert all(r["rep"] == 1 and r["error"] == "ConvergenceError: synthetic failure"
+                   for r in errors)
+        assert [(row["method"], row["runs"], row["failures"]) for row in summary] == [
+            ("spectral-direct", 2, 1), ("threshold-spectral", 2, 1)
+        ]
 
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ParameterError):
