@@ -151,7 +151,7 @@ def cmd_communities(args, clock: _StageClock):
     )
     adjacency = read_edges_tsv(args.input)
     clock.lap("read")
-    k = select_num_communities(adjacency, None if args.auto_k else args.K)
+    k = select_num_communities(adjacency, None if args.auto_k else args.K, config.tau)
     clock.lap("select_k")
     config = dataclasses.replace(config, K=k)
     partition, report = detect_communities_report(adjacency, config)

@@ -1,8 +1,10 @@
 """Community detection by regularized spectral embedding plus k-means.
 
 The adjacency (or a dense nonnegative weight matrix) is normalized as
-L = D_tau^{-1/2} A D_tau^{-1/2} with D_tau = D + tau*I. The leading
-eigenvectors by absolute eigenvalue form the embedding; optional row
+L = D_tau^{-1/2} A D_tau^{-1/2} with D_tau = D + tau*I: a sparse matrix
+for a graph, and for a dense matrix its upper triangle alone, packed as
+LAPACK's symmetric packed storage. The leading eigenvectors by absolute
+eigenvalue form the embedding; optional row
 normalization makes the fit degree-corrected. Lloyd's algorithm with
 k-means++ seeding clusters the embedded nodes, deterministically for a
 given seed.
@@ -10,12 +12,14 @@ given seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy
 
-from .assoc import SymmetricMatrix, mapped_zeros, mirror_upper_in_place
+from .assoc import SymmetricMatrix, mapped_zeros
 from .errors import ConvergenceError, InvalidInputError, ParameterError
 from .graphs import Partition, SparseAdjacency
 
@@ -62,34 +66,60 @@ def _regularized_laplacian(weights, tau):
     scaled by zero rather than dividing by it. A sparse matrix is a 0/1
     graph: its degrees are its entry counts per row, and a copy of its
     entries is scaled by s_i, then by s_j, which is symmetric to the bit.
-    A dense matrix is read as |weights| with a zero diagonal, built in
-    L, the one new matrix, mapped in the input's own layout; the caller's
-    array is left as it is. L is scaled by s_i, then by s_j, and its upper
-    triangle is mirrored onto the lower one.
+    A dense matrix is read as |weights| with a zero diagonal, one row at
+    a time through an m-long buffer, and the caller's array is left as it
+    is. Its degrees are summed as numpy sums the rows of a matrix in the
+    input's layout: each row at once for C (or strided) input, column
+    after column for Fortran input. L is then the upper triangle alone,
+    packed row after row as m(m + 1)/2 float64 in one new map: row i is
+    L[i, i:], which is BLAS's column-major lower packed layout. Each
+    entry is |w_ij| scaled by s_i, then by s_j.
     """
     if scipy.sparse.issparse(weights):
         lap = weights.copy()
         counts = np.diff(lap.indptr)
         degrees = counts.astype(np.float64)
-    else:
-        lap = mapped_zeros(weights.shape)
-        lap = np.abs(weights, out=lap.T if np.isfortran(weights) else lap)
-        np.fill_diagonal(lap, 0.0)
-        degrees = lap.sum(axis=1)
-        if not lap.flags.c_contiguous:
-            lap = lap.T  # the same symmetric matrix, row-major
+        tau_value, scale = _regularized_scale(degrees, tau)
+        lap.data *= np.repeat(scale, counts)
+        lap.data *= scale[lap.indices]
+        return lap, degrees, tau_value
+    fortran = np.isfortran(weights)
+    rows = weights.T if fortran else weights  # the same symmetric matrix, row-major
+    m = rows.shape[0]
+    row = np.empty(m)
+    degrees = np.zeros(m)
+    for i in range(m):
+        np.abs(rows[i], out=row)
+        row[i] = 0.0
+        if fortran:
+            degrees += row  # numpy sums the rows of an F-order matrix column by column
+        else:
+            degrees[i] = row.sum()
+    tau_value, scale = _regularized_scale(degrees, tau)
+    lap = mapped_zeros(m * (m + 1) // 2)
+    offset = 0
+    for i in range(m):
+        row = lap[offset : offset + m - i]
+        np.abs(rows[i, i:], out=row)
+        row[0] = 0.0
+        row *= scale[i]
+        row *= scale[i:]
+        offset += m - i
+    return lap, degrees, tau_value
+
+
+def _regularized_scale(degrees, tau):
+    """(tau_value, s) with s_i = 1/sqrt(degree_i + tau), 0 where that sum is 0."""
     tau_value = float(np.mean(degrees)) if tau == "auto" else float(tau)
     reg = degrees + tau_value
     with np.errstate(divide="ignore"):
         scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.maximum(reg, 1e-300)), 0.0)
-    if scipy.sparse.issparse(lap):
-        lap.data *= np.repeat(scale, counts)
-        lap.data *= scale[lap.indices]
-        return lap, degrees, tau_value
-    lap *= scale[:, None]
-    lap *= scale[None, :]
-    mirror_upper_in_place(lap)
-    return lap, degrees, tau_value
+    return tau_value, scale
+
+
+def _eigensolver(m: int, k: int) -> str:
+    """The path _leading_eigenpairs takes for k eigenpairs of an m x m matrix."""
+    return "dense" if m <= DENSE_CUTOFF or k >= m - 1 else "arpack"
 
 
 def eigsh(lap, k, **kwargs):
@@ -100,18 +130,33 @@ def eigsh(lap, k, **kwargs):
 def _leading_eigenpairs(lap, k: int):
     """Top-k eigenpairs of a symmetric matrix by absolute eigenvalue.
 
-    A dense decomposition serves small (m <= DENSE_CUTOFF) or near-full
-    (k >= m - 1) problems and a Lanczos-style iterative solver the rest.
+    lap is a sparse matrix or a packed upper triangle as
+    _regularized_laplacian builds it. A dense decomposition serves
+    small (m <= DENSE_CUTOFF) or near-full (k >= m - 1) problems, on the
+    matrix unpacked into a full one, and a Lanczos-style iterative
+    solver the rest, reading a packed triangle through BLAS dspmv.
     Eigenpairs come back sorted by decreasing |eigenvalue| with a stable
     order on ties.
     """
-    m = lap.shape[0]
+    sparse = scipy.sparse.issparse(lap)
+    m = lap.shape[0] if sparse else (math.isqrt(8 * lap.size + 1) - 1) // 2
     if not 1 <= k <= m:
         raise ParameterError("need 1 <= k <= m eigenpairs")
-    if m <= DENSE_CUTOFF or k >= m - 1:
-        dense = lap.toarray() if scipy.sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
+    if _eigensolver(m, k) == "dense":
+        if sparse:
+            dense = lap.toarray()
+        else:
+            dense = np.empty((m, m))
+            upper = np.triu_indices(m)
+            dense[upper] = lap
+            dense.T[upper] = lap
         vals, vecs = np.linalg.eigh(dense)
     else:
+        if not sparse:
+            lap = scipy.sparse.linalg.LinearOperator(
+                (m, m), matvec=partial(scipy.linalg.blas.dspmv, m, 1.0, lap, lower=1),
+                dtype=np.float64,
+            )
         v0 = np.full(m, 1.0 / np.sqrt(m))
         try:
             vals, vecs = eigsh(lap, k=k, which="LM", tol=1e-8, v0=v0, rng=0)
@@ -244,11 +289,14 @@ def _kmeans_runs(points, k, restarts, seed):
     return best_labels, best_wcss, all_wcss, all_iterations
 
 
-def select_num_communities(adj: SparseAdjacency, override: int | None = None) -> int:
+def select_num_communities(
+    adj: SparseAdjacency, override: int | None = None, tau: float | str = "auto"
+) -> int:
     """Pick a community count: the override when given, else the eigengap.
 
     The eigengap rule maximizes |lambda_k| - |lambda_{k+1}| of the
-    regularized Laplacian spectrum over k in [2, K_max] with
+    Laplacian regularized by tau (as SpectralConfig.tau), over k in
+    [2, K_max] with
     K_max = min(m // 10, 150), clamped to keep k + 1 eigenpairs
     available; the first of equal gaps wins.
 
@@ -273,7 +321,7 @@ def select_num_communities(adj: SparseAdjacency, override: int | None = None) ->
         return min(2, m)
     k_max = max(2, min(m // 10, 150))
     k_max = min(k_max, m - 2)
-    lap, _, _ = _regularized_laplacian(adj.to_csr(), "auto")
+    lap, _, _ = _regularized_laplacian(adj.to_csr(), tau)
     n = min(EIGENGAP_FIRST_REQUEST, k_max + 1)
     while True:
         vals, _ = _leading_eigenpairs(lap, n)
@@ -289,17 +337,21 @@ def _detect_on_weights(weights, config: SpectralConfig):
     """Shared embed + cluster + zero-degree cleanup; returns (Partition, report).
 
     With no nonzero degree there is no signal: every node goes to
-    community 1 and no eigensolve runs, whatever K is.
+    community 1 and no eigensolve runs, whatever K is. The report names
+    the eigensolver path the embedding took ("dense" or "arpack"; None
+    without an eigensolve).
     """
     lap, degrees, tau_value = _regularized_laplacian(weights, config.tau)
     m = len(degrees)
     dangling = degrees == 0.0
+    solver = None
     if dangling.all():
         labels = np.ones(m, dtype=np.int64)
         vals, best_wcss, all_wcss, all_iterations = [], 0.0, [], []
     else:
         if m < config.K:
             raise InvalidInputError("need at least K nodes")
+        solver = _eigensolver(m, config.K)
         vecs, vals = _embed(lap, config, config.K)
         labels0, best_wcss, all_wcss, all_iterations = _kmeans_runs(
             vecs, config.K, config.restarts, config.seed
@@ -314,6 +366,7 @@ def _detect_on_weights(weights, config: SpectralConfig):
         "K": config.K,
         "tau": tau_value,
         "eigenvalues": [float(v) for v in vals],
+        "eigensolver": solver,
         "wcss": best_wcss,
         "restart_wcss": all_wcss,
         "restart_iterations": all_iterations,
@@ -346,8 +399,9 @@ def spectral_on_continuous(corr: SymmetricMatrix, config: SpectralConfig) -> Par
 
     Uses the same regularized embedding and k-means, but on the dense
     nonnegative matrix of absolute correlations with a zero diagonal.
-    That matrix exists only as the scaled Laplacian, the one m x m
-    array this call allocates.
+    That matrix exists only as the scaled Laplacian's packed upper
+    triangle, m(m + 1)/2 entries, the one matrix-sized array this call
+    allocates; the eigensolver reads it through BLAS dspmv.
     """
     if corr.kind != "correlation":
         raise InvalidInputError("expected a correlation matrix")

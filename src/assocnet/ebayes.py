@@ -618,4 +618,4 @@ def infer_adjacency(
         fit = MixtureFit(w, a, ll, bool(estimate_a))
         t = fit.threshold
         edges = np.concatenate(list(pool.map(block_edges, blocks)))
-    return SparseAdjacency(m, edges), fit
+    return SparseAdjacency._adopt(m, edges), fit

@@ -266,9 +266,9 @@ def read_edges_tsv(path) -> SparseAdjacency:
     """
     comments, ids = _read_tsv(path, np.int64, "two ids")
     m = _header_int(path, comments, "m=")
-    ids -= 1  # 0-based in place, so the adjacency copies the table once
+    ids -= 1  # 0-based in place, and adopted: canonical ids are the adjacency's edges
     try:
-        return SparseAdjacency(m, ids)
+        return SparseAdjacency._adopt(m, ids)
     except InvalidInputError as exc:
         lo, hi = ids.min(axis=1), ids.max(axis=1)
         located = _rejected_row(path, [

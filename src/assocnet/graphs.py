@@ -37,12 +37,13 @@ def _in_canonical_order(edges: np.ndarray) -> bool:
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """A copy of edges in canonical form; input already in it is not sorted again.
+    """edges, an int64 C-order array, in canonical form.
 
-    Canonical input has neither self loops nor repeated pairs; sorted
-    input is checked for both.
+    Input already in it is returned as it stands, not sorted again;
+    other input is sorted into a new array, never in place. Canonical
+    input has neither self loops nor repeated pairs; sorted input is
+    checked for both.
     """
-    edges = np.array(edges, dtype=np.int64, order="C")  # our own copy, not the caller's array
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -68,12 +69,29 @@ class SparseAdjacency:
     edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     def __post_init__(self) -> None:
+        # Our own copy, not the caller's array.
+        self._set_edges(np.array(self.edges, dtype=np.int64, order="C"))
+
+    @classmethod
+    def _adopt(cls, m: int, edges: np.ndarray) -> SparseAdjacency:
+        """The adjacency over an exact-size int64 C-order edge array that
+        its caller made for it and holds nowhere else.
+
+        Every check of the constructor runs, but canonical edges are kept
+        as they stand instead of copied.
+        """
+        adj = cls.__new__(cls)
+        object.__setattr__(adj, "m", m)
+        adj._set_edges(edges)
+        return adj
+
+    def _set_edges(self, edges: np.ndarray) -> None:
         if self.m < 1:
             raise InvalidInputError("adjacency needs at least one node")
-        object.__setattr__(self, "edges", _canonical_edges(self.edges))
-        e = self.edges
-        if e.size and (e[:, 0].min() < 0 or e[:, 1].max() >= self.m):
+        edges = _canonical_edges(edges)
+        if edges.size and (edges[:, 0].min() < 0 or edges[:, 1].max() >= self.m):
             raise InvalidInputError("edge endpoint out of range")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:

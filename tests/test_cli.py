@@ -383,6 +383,45 @@ class TestCommunities:
         assert part.K == blocks
         assert nmi(part, Partition(labels, blocks)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tau, built", [([], ["auto", "auto"]),
+                                            (["--tau", "0.5"], [0.5, 0.5])])
+    def test_auto_k_picks_k_at_the_tau_it_embeds_with(self, tmp_path, monkeypatch, tau, built):
+        rng = np.random.default_rng(42)
+        labels = np.repeat(np.arange(4), 30)
+        prob = np.where(labels[:, None] == labels[None, :], 0.5, 0.02)
+        dense = np.triu((rng.random((120, 120)) < prob).astype(np.int64), 1)
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, from_dense(dense + dense.T))
+        taus = []
+        build = community._regularized_laplacian
+
+        def spy(weights, tau):
+            taus.append(tau)
+            return build(weights, tau)
+
+        monkeypatch.setattr(community, "_regularized_laplacian", spy)
+        argv = ["communities", str(edges), "--auto-k", *tau, "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert taus == built  # the eigengap search, then the embedding
+
+    @pytest.mark.parametrize("size, solver", [(8, "dense"), (30, "arpack")])
+    def test_report_names_the_eigensolver(self, tmp_path, monkeypatch, size, solver):
+        adj, _ = two_cliques(size)
+        edges = tmp_path / "edges.tsv"
+        write_edges_tsv(edges, adj)
+        solves = []
+
+        def eigsh(lap, k, **kwargs):
+            solves.append(k)
+            return scipy_eigsh(lap, k=k, **kwargs)
+
+        monkeypatch.setattr(community, "eigsh", eigsh)
+        out = tmp_path / "out"
+        assert main(["communities", str(edges), "-K", "2", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["eigensolver"] == solver
+        assert solves == ([2] if solver == "arpack" else [])
+
     def test_auto_k_solver_failure_exits_4(self, tmp_path, monkeypatch):
         # 30 planted blocks of 20: the eigengap search needs a second,
         # larger eigensolve, and that one fails to converge.

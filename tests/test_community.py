@@ -4,7 +4,8 @@ Independent oracles, defined before any assertions use them:
 
 * ``dense_regularized_laplacian`` — explicit construction of the
   degree-regularized normalization in plain numpy, with the upper
-  triangle mirrored onto the lower one.
+  triangle mirrored onto the lower one; ``packed`` reads its upper
+  triangle row after row, the layout of the dense Laplacian build.
 * ``matmul_regularized_laplacian`` — the sparse build through
   ``sp.diags`` and two matmuls, kept as the byte reference.
 * ``np.linalg.eigh`` on that dense matrix — reference spectrum for the
@@ -53,6 +54,11 @@ def dense_regularized_laplacian(dense_adj, tau):
     scale = np.where(reg > 0.0, 1.0 / np.sqrt(np.where(reg > 0.0, reg, 1.0)), 0.0)
     lap = scale[:, None] * dense_adj * scale[None, :]
     return np.where(np.tri(len(lap), k=-1, dtype=bool), lap.T, lap)  # upper mirrored
+
+
+def packed(full):
+    """The upper triangle of a square matrix, row after row: L[0, 0:], L[1, 1:], ..."""
+    return full[np.triu_indices(len(full))]
 
 
 def matmul_regularized_laplacian(csr, tau):
@@ -194,7 +200,7 @@ class TestLeadingEigenpairs:
             lap = dense_regularized_laplacian(
                 to_dense(adj).astype(np.float64), tau=1.0
             )
-            vals_sparse, vecs_sparse = _leading_eigenpairs(lap, 6)
+            vals_sparse, vecs_sparse = _leading_eigenpairs(packed(lap), 6)
             vals_dense = np.linalg.eigh(lap)[0]
             vals_dense = vals_dense[np.argsort(-np.abs(vals_dense), kind="stable")[:6]]
             np.testing.assert_allclose(vals_sparse, vals_dense, atol=1e-6)
@@ -205,7 +211,7 @@ class TestLeadingEigenpairs:
         rng = np.random.default_rng(31)
         adj = random_graph(rng, 20, 0.3)
         lap = dense_regularized_laplacian(to_dense(adj).astype(np.float64), 0.5)
-        vals, _ = _leading_eigenpairs(lap, 5)
+        vals, _ = _leading_eigenpairs(packed(lap), 5)
         reference = np.linalg.eigvalsh(lap)
         top = reference[np.argsort(-np.abs(reference), kind="stable")[:5]]
         np.testing.assert_allclose(vals, top, atol=1e-12)
@@ -214,12 +220,12 @@ class TestLeadingEigenpairs:
         rng = np.random.default_rng(32)
         adj = random_graph(rng, 50, 0.2)
         lap = dense_regularized_laplacian(to_dense(adj).astype(np.float64), 1.0)
-        vals, _ = _leading_eigenpairs(lap, 8)
+        vals, _ = _leading_eigenpairs(packed(lap), 8)
         mags = np.abs(vals)
         assert np.all(np.diff(mags) <= 1e-12)
 
     def test_rejects_bad_k(self):
-        lap = np.eye(4)
+        lap = packed(np.eye(4))
         with pytest.raises(ParameterError):
             _leading_eigenpairs(lap, 0)
         with pytest.raises(ParameterError):
@@ -272,8 +278,8 @@ class TestRegularizedEmbedding:
 
 
 class TestRegularizedLaplacian:
-    """The dense branch scales one new m x m buffer and mirrors its upper
-    triangle in place.
+    """The dense branch builds the packed upper triangle alone, one row
+    at a time.
     """
 
     @staticmethod
@@ -288,11 +294,11 @@ class TestRegularizedLaplacian:
         weights = self.symmetric_weights(300, order)  # not a multiple of the tile
         for tau in (0.0, 2.5, "auto"):
             lap, _, tau_value = community._regularized_laplacian(weights, tau)
-            expected = dense_regularized_laplacian(weights, tau_value)
-            assert lap.flags.c_contiguous and expected.flags.c_contiguous
+            expected = packed(dense_regularized_laplacian(weights, tau_value))
+            assert lap.shape == (300 * 301 // 2,) and lap.flags.c_contiguous
             assert lap.tobytes() == expected.tobytes()
 
-    def test_dense_upper_triangle_scales_by_row_then_column_and_is_mirrored(self):
+    def test_dense_upper_triangle_scales_by_row_then_column(self):
         weights = self.symmetric_weights(130, "C")
         lap, degrees, tau_value = community._regularized_laplacian(weights, "auto")
         scale = 1.0 / np.sqrt(degrees + tau_value)
@@ -301,9 +307,7 @@ class TestRegularizedLaplacian:
         # Rounding tells the two orders apart at some pair, so averaging
         # the triangles would move that pair off the row-then-column product.
         assert np.any(np.triu(row_then_col != col_then_row, 1))
-        upper, lower = np.triu_indices(130, 1), np.tril_indices(130, -1)
-        assert lap[upper].tobytes() == row_then_col[upper].tobytes()
-        assert lap[lower].tobytes() == lap.T[lower].tobytes()
+        assert lap.tobytes() == packed(row_then_col).tobytes()
 
     def test_dense_branch_holds_one_new_matrix(self, mapped_bytes):
         weights = self.symmetric_weights(400, "C")
@@ -314,8 +318,8 @@ class TestRegularizedLaplacian:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert mapped_bytes == [weights.nbytes]
-        assert peak + sum(mapped_bytes) < 1.2 * weights.nbytes
+        assert mapped_bytes == [400 * 401 // 2 * 8]  # one packed triangle
+        assert peak + sum(mapped_bytes) < 0.6 * weights.nbytes
 
     @staticmethod
     def graph_with_isolated_nodes(seed):
@@ -668,6 +672,12 @@ class TestDetectCommunities:
         assert report["tau"] == pytest.approx(24.0)  # mean degree of 25-cliques
         assert report["zero_degree_nodes"] == 0
 
+    @pytest.mark.parametrize("size, solver", [(10, "dense"), (30, "arpack"), (0, None)])
+    def test_report_names_the_eigensolver(self, size, solver):
+        adj = two_cliques(size)[0] if size else SparseAdjacency(40)
+        _, report = detect_communities_report(adj, SpectralConfig(K=2))
+        assert report["eigensolver"] == solver
+
     def test_explicit_tau_zero_with_isolated_node(self):
         dense = np.zeros((36, 36), dtype=np.int8)
         dense[:35, :35] = 1
@@ -754,9 +764,34 @@ class TestSpectralOnContinuous:
         assert returned.tobytes() == degrees.tobytes()
         assert spectral_on_continuous(corr, config) == expected
 
+    # m <= DENSE_CUTOFF, and K = m - 1 above it: eigh on the unpacked triangle.
+    @pytest.mark.parametrize("m, k", [(DENSE_CUTOFF, 3), (40, 39)])
+    def test_dense_fallback_decomposes_the_oracle(self, monkeypatch, m, k):
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("the dense fallback calls no iterative solver")
+
+        monkeypatch.setattr(community, "eigsh", no_eigsh)
+        corr = self.block_correlations(m, "C")
+        weights = np.abs(corr.values)
+        np.fill_diagonal(weights, 0.0)
+        lap, _, tau_value = community._regularized_laplacian(corr.values, "auto")
+        vals, vecs = _leading_eigenpairs(lap, k)
+        ref_vals, ref_vecs = np.linalg.eigh(dense_regularized_laplacian(weights, tau_value))
+        order = np.argsort(-np.abs(ref_vals), kind="stable")[:k]
+        assert vals.tobytes() == ref_vals[order].tobytes()
+        assert vecs.tobytes() == ref_vecs[:, order].tobytes()
+        config = SpectralConfig(K=k, seed=1)
+        expected, report = community._detect_on_weights(weights, config)
+        assert report["eigensolver"] == "dense"
+        assert spectral_on_continuous(corr, config) == expected
+
     def test_holds_one_m_by_m_matrix(self, mapped_bytes):
-        corr = self.block_correlations(400, "C")
+        # The eigensolver's and k-means' O(m) buffers per node add about
+        # 0.13 of the input at m = 400 and 0.065 at m = 800.
+        corr = self.block_correlations(800, "C")
         before = corr.values.copy()
+        spectral_on_continuous(self.block_correlations(60, "C"), SpectralConfig(K=4))
+        mapped_bytes.clear()  # the warm-up above loads what SciPy loads lazily
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -764,6 +799,6 @@ class TestSpectralOnContinuous:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert mapped_bytes == [corr.values.nbytes]
-        assert peak + sum(mapped_bytes) < 1.2 * corr.values.nbytes
+        assert mapped_bytes == [800 * 801 // 2 * 8]  # one packed triangle
+        assert peak + sum(mapped_bytes) < 0.6 * corr.values.nbytes
         assert corr.values.tobytes() == before.tobytes()

@@ -538,6 +538,23 @@ class TestEdgesTsv:
         with pytest.raises(InvalidInputError, match=f"edges.tsv{message}"):
             read_edges_tsv(path)
 
+    def test_reading_a_canonical_file_holds_the_edges_once(self, tmp_path):
+        m = 1000
+        ids = np.sort(np.random.default_rng(8).choice(m * (m - 1) // 2, 200_000, replace=False))
+        rows, cols = np.triu_indices(m, k=1)
+        adj = SparseAdjacency(m, np.column_stack([rows[ids], cols[ids]]))
+        path = tmp_path / "edges.tsv"
+        write_edges_tsv(path, adj)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = read_edges_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == adj
+        assert peak < 1.5 * adj.edges.nbytes  # the table is the edge array
+
     def test_rejected_node_count_names_the_file(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text("# m=0\n", encoding="utf-8")

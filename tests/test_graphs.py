@@ -46,6 +46,19 @@ class TestCanonicalEdges:
         edges[0] = [1, 2]
         np.testing.assert_array_equal(adj.edges, [[0, 1], [0, 2], [1, 2]])
 
+    def test_an_adopted_canonical_array_is_kept(self):
+        edges = canonical_pairs(np.random.default_rng(3), 30, 40)
+        assert SparseAdjacency._adopt(30, edges).edges is edges
+
+    def test_an_adopted_array_is_checked_and_never_sorted_in_place(self):
+        edges = np.array([[2, 1], [0, 2], [0, 1]])
+        adj = SparseAdjacency._adopt(3, edges)
+        np.testing.assert_array_equal(adj.edges, [[0, 1], [0, 2], [1, 2]])
+        np.testing.assert_array_equal(edges, [[2, 1], [0, 2], [0, 1]])
+        for m, bad in [(0, []), (3, [[0, 3]]), (3, [[1, 1]]), (3, [[0, 1], [1, 0]])]:
+            with pytest.raises(InvalidInputError):
+                SparseAdjacency._adopt(m, np.array(bad, dtype=np.int64).reshape(-1, 2))
+
     @pytest.mark.parametrize("at", [3, 4, 5])
     def test_order_is_checked_across_chunk_boundaries(self, monkeypatch, at):
         # Chunks of 4 edges: rows 3 and 4 straddle the first boundary.

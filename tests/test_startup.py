@@ -27,7 +27,7 @@ from assocnet.simgen import SimConfig, generate_correlations, generate_ground_tr
 
 SRC = Path(assocnet.__file__).resolve().parents[1]
 PARTS = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize",
-         "scipy.stats")
+         "scipy.stats", "scipy.linalg")
 
 # Imports the package, then runs cli.main on each argv of argv[1] in turn.
 # Prints [exit code, SciPy parts loaded] after the import and after each run.
@@ -128,6 +128,19 @@ def test_communities_loads_no_special(tmp_path):
         assert code == 0
         assert "scipy.sparse.linalg" in after
         assert "scipy.special" not in after
+
+
+def test_study_with_the_direct_baseline_loads_no_optimize_or_stats(tmp_path):
+    # m = 40 > DENSE_CUTOFF, so the baseline's eigensolve reads its packed
+    # Laplacian through scipy.linalg.blas.dspmv.
+    grid = {"m": 40, "k": 2, "community_size": 10, "theta_in": 30.0, "theta_out": 1.0,
+            "r_gen": 0.8, "nu": 100}
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    runs = [["study", "--grid", "grid.json", "--repetitions", "1",
+             "--baseline", "spectral-direct", "--output-dir", "study"]]
+    (_, at_import), (code, after) = run_fresh(LOADED_SCRIPT, runs, tmp_path)
+    assert (at_import, code) == ([], 0)
+    assert after == ["scipy.special", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"]
 
 
 def test_posterior_median_loads_special_and_no_optimize(tmp_path):
